@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import BROOD_TEMP_C, SensorTrace, make_windows, missing_spans, sample_period
-from .errors import EmptyValidation, FileUnreadable, MalformedHeader
+from .errors import CheckpointError, EmptyValidation, FileUnreadable, MalformedHeader
 from .nn.model import AutoencoderModel, _forward_batch
 from .nn.training import stack_windows
 
@@ -93,13 +93,25 @@ def lower_quantile(values: np.ndarray, q: float) -> float:
 
 
 def window_errors(model: AutoencoderModel, windows, batch_size: int = 512) -> np.ndarray:
-    """Per-window reconstruction error (mean squared, normalized space)."""
+    """Per-window reconstruction error (mean squared, normalized space).
+
+    Raises CheckpointError when an error is not finite: a NaN compares
+    false against every threshold, so a diverged model would otherwise
+    report no events.
+    """
     X = stack_windows(windows)
     out = np.empty(X.shape[1])
-    for start in range(0, X.shape[1], batch_size):
-        chunk = X[:, start : start + batch_size]
-        Y = _forward_batch(model, chunk).Y
-        out[start : start + chunk.shape[1]] = np.mean((Y - chunk) ** 2, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, X.shape[1], batch_size):
+            chunk = X[:, start : start + batch_size]
+            Y = _forward_batch(model, chunk).Y
+            out[start : start + chunk.shape[1]] = np.mean((Y - chunk) ** 2, axis=0)
+    bad = np.count_nonzero(~np.isfinite(out))
+    if bad:
+        raise CheckpointError(
+            f"non-finite reconstruction error on {bad} of {len(out)} windows; "
+            "the model's weights have diverged"
+        )
     return out
 
 

@@ -11,15 +11,16 @@ state in the container.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from ..data import NormalizationParams
-from ..errors import CheckpointError
+from ..errors import CheckpointError, ShapeMismatch
 from .lstm import LSTMLayerParams
-from .model import AutoencoderModel, model_parameters
+from .model import HIDDEN_SIZE_RANGE, NUM_LAYERS_RANGE, AutoencoderModel, model_parameters
 
 MAGIC = b"HIVEAE1\n"
 VERSION = "v1"
@@ -68,19 +69,40 @@ def load_model(path) -> AutoencoderModel:
         header = json.loads(raw[header_start:data_start].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
     if header.get("version") != VERSION:
         raise CheckpointError(f"{path}: unsupported version {header.get('version')!r}")
 
-    hyper = header["hyper"]
+    hyper = _field(path, header, "hyper", dict)
+    hs, n, window_size, seed = (
+        _field(path, hyper, key, int) for key in ("hidden_size", "n_layers", "window_size", "seed")
+    )
+    if not (
+        HIDDEN_SIZE_RANGE[0] <= hs <= HIDDEN_SIZE_RANGE[1]
+        and NUM_LAYERS_RANGE[0] <= n <= NUM_LAYERS_RANGE[1]
+        and window_size >= 2
+    ):
+        raise CheckpointError(f"{path}: hyperparameters out of range: {hyper}")
+    norm = header.get("norm")
+    if norm is not None:
+        mean, std = _field(path, norm, "mean", float), _field(path, norm, "std", float)
+        if not (math.isfinite(mean) and math.isfinite(std) and std > 0):
+            raise CheckpointError(f"{path}: invalid normalization {norm}")
+        norm = NormalizationParams(mean, std)
+
     arrays: dict[str, np.ndarray] = {}
     offset = data_start
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+    for entry in _field(path, header, "arrays", list):
+        name = _field(path, entry, "name", str)
+        shape = tuple(_field(path, entry, "shape", list))
+        if not all(type(d) is int and d >= 0 for d in shape):
+            raise CheckpointError(f"{path}: bad shape {list(shape)} for array {name!r}")
+        count = math.prod(shape)
         end = offset + 8 * count
         if len(raw) < end:
-            raise CheckpointError(f"{path}: truncated array data at {entry['name']!r}")
-        arrays[entry["name"]] = (
+            raise CheckpointError(f"{path}: truncated array data at {name!r}")
+        arrays[name] = (
             np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
             .astype(np.float64)
             .reshape(shape)
@@ -89,32 +111,46 @@ def load_model(path) -> AutoencoderModel:
     if offset != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes")
 
-    hs, n = hyper["hidden_size"], hyper["n_layers"]
-
     def layer(prefix: str, k: int, input_size: int) -> LSTMLayerParams:
-        try:
-            return LSTMLayerParams(
-                input_size=input_size,
-                hidden_size=hs,
-                W=arrays[f"{prefix}.{k}.W"],
-                U=arrays[f"{prefix}.{k}.U"],
-                b=arrays[f"{prefix}.{k}.b"],
-            )
-        except KeyError as exc:
-            raise CheckpointError(f"{path}: missing array {exc}") from exc
+        return LSTMLayerParams(
+            input_size=input_size,
+            hidden_size=hs,
+            W=arrays[f"{prefix}.{k}.W"],
+            U=arrays[f"{prefix}.{k}.U"],
+            b=arrays[f"{prefix}.{k}.b"],
+        )
 
-    norm = header.get("norm")
     try:
         return AutoencoderModel(
-            window_size=hyper["window_size"],
+            window_size=window_size,
             hidden_size=hs,
             n_layers=n,
             encoder_layers=[layer("encoder", k, 1 if k == 0 else hs) for k in range(n)],
             decoder_layers=[layer("decoder", k, hs) for k in range(n)],
             w_out=arrays["output.W"],
             b_out=arrays["output.b"],
-            norm=None if norm is None else NormalizationParams(norm["mean"], norm["std"]),
-            seed=hyper["seed"],
+            norm=norm,
+            seed=seed,
         )
     except KeyError as exc:
         raise CheckpointError(f"{path}: missing array {exc}") from exc
+    except (ShapeMismatch, ValueError) as exc:
+        raise CheckpointError(f"{path}: inconsistent arrays: {exc}") from exc
+
+
+def _field(path, mapping, key: str, kind: type):
+    """`mapping[key]`, checked to be a `kind`; CheckpointError otherwise.
+
+    A float field also takes a JSON integer; booleans never count as
+    numbers.
+    """
+    value = mapping.get(key) if isinstance(mapping, dict) else None
+    kinds = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise CheckpointError(f"{path}: header field {key!r} missing or not {kind.__name__}")
+    if kind is not float:
+        return value
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise CheckpointError(f"{path}: header field {key!r}: {exc}") from exc

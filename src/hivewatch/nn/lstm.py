@@ -3,6 +3,12 @@
 Everything is float64. The four gates are packed along the leading axis of
 `W`, `U`, and `b` in the fixed order [input, forget, cell-candidate,
 output], so all three have leading dimension 4*hidden_size.
+
+The recurrence itself runs feature-major: states are (hs, B) blocks and
+the gate pre-activations one (4*hs, B) block whose rows are permuted to
+[input, forget, output, cell-candidate], so a single in-place sigmoid
+covers the three sigmoid gates. Callers see time-major (T, B, features)
+arrays; the transposes between the two layouts are views.
 """
 
 from __future__ import annotations
@@ -10,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit as _sigmoid
 
 from ..errors import ShapeMismatch
 
@@ -53,20 +58,32 @@ def init_layer(input_size: int, hidden_size: int, rng: np.random.Generator) -> L
     return LSTMLayerParams(input_size, hidden_size, W, U, b)
 
 
+def _gate_rows(hs: int) -> np.ndarray:
+    """Row order taking [i, f, g, o] to [i, f, o, g]. It swaps the last
+    two blocks, so it is its own inverse."""
+    rows = np.arange(4 * hs)
+    return np.concatenate([rows[: 2 * hs], rows[3 * hs :], rows[2 * hs : 3 * hs]])
+
+
+def _time_invariant(X: np.ndarray) -> bool:
+    """True when every step reads the same memory (a stride-0 time axis)."""
+    return X.strides[0] == 0
+
+
 @dataclass
 class LSTMCache:
-    """Forward-pass intermediates needed by the backward pass."""
+    """Forward-pass intermediates needed by the backward pass.
 
-    X: np.ndarray  # inputs, (T, B, D)
-    H: np.ndarray  # hidden states, (T, B, hs)
-    I: np.ndarray  # input-gate activations
-    F: np.ndarray  # forget-gate activations
-    G: np.ndarray  # cell candidates
-    O: np.ndarray  # output-gate activations
-    C: np.ndarray  # cell states
-    TC: np.ndarray  # tanh of cell states
-    h0: np.ndarray  # initial hidden state, (B, hs)
-    c0: np.ndarray  # initial cell state, (B, hs)
+    All but `X` are feature-major: (T, rows, B) sequences, (hs, B) states.
+    """
+
+    X: np.ndarray  # inputs as given, (T, B, D)
+    Z: np.ndarray  # gate activations, rows [i, f, o, g], (T, 4*hs, B)
+    C: np.ndarray  # cell states, (T, hs, B)
+    TC: np.ndarray  # tanh of cell states, (T, hs, B)
+    H: np.ndarray  # hidden states, (T, hs, B)
+    h0: np.ndarray  # initial hidden state, (hs, B)
+    c0: np.ndarray  # initial cell state, (hs, B)
 
 
 def lstm_forward(
@@ -74,11 +91,18 @@ def lstm_forward(
     X: np.ndarray,
     h0: np.ndarray | None = None,
     c0: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, LSTMCache]:
+    keep_cache: bool = True,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, LSTMCache | None]:
     """Run the layer over a (T, B, input_size) batch of sequences.
 
     Returns the hidden-state sequence (T, B, hs), the final hidden and
-    cell states (B, hs), and the cache `lstm_backward` consumes.
+    cell states (B, hs), and the cache `lstm_backward` consumes; the
+    cache is None, and never built, when `keep_cache` is false. Both
+    settings give bit-identical outputs.
+
+    An X whose time axis has stride 0, such as `np.broadcast_to` of one
+    (B, input_size) array, feeds the same input at every step; its input
+    projection is then computed once.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 3 or X.shape[2] != params.input_size:
@@ -87,34 +111,56 @@ def lstm_forward(
         )
     T, B, _ = X.shape
     hs = params.hidden_size
-    h = np.zeros((B, hs)) if h0 is None else np.array(h0, dtype=np.float64)
-    c = np.zeros((B, hs)) if c0 is None else np.array(c0, dtype=np.float64)
-    h0_saved, c0_saved = h.copy(), c.copy()
+    rows = _gate_rows(hs)
+    U = params.U[rows]
+    W = params.W[rows]
+    b = params.b[rows, None]
 
-    # Input contributions do not depend on the recurrence: one big matmul.
-    XW = (X.reshape(T * B, -1) @ params.W.T).reshape(T, B, 4 * hs)
+    # Input contributions do not depend on the recurrence: one projection,
+    # with the bias folded in, ahead of the loop.
+    if _time_invariant(X):
+        XWb = np.broadcast_to(W @ X[0].T + b, (T, 4 * hs, B))
+    else:
+        XWb = np.matmul(W, X.transpose(0, 2, 1))
+        XWb += b
 
-    I = np.empty((T, B, hs))
-    F = np.empty((T, B, hs))
-    G = np.empty((T, B, hs))
-    O = np.empty((T, B, hs))
-    C = np.empty((T, B, hs))
-    TC = np.empty((T, B, hs))
-    H = np.empty((T, B, hs))
-    for t in range(T):
-        z = XW[t] + h @ params.U.T + params.b
-        i = _sigmoid(z[:, :hs])
-        f = _sigmoid(z[:, hs : 2 * hs])
-        g = np.tanh(z[:, 2 * hs : 3 * hs])
-        o = _sigmoid(z[:, 3 * hs :])
-        c = f * c + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        I[t], F[t], G[t], O[t] = i, f, g, o
-        C[t], TC[t], H[t] = c, tc, h
+    h = np.zeros((hs, B)) if h0 is None else np.array(np.transpose(h0), np.float64, order="C")
+    c = np.zeros((hs, B)) if c0 is None else np.array(np.transpose(c0), np.float64, order="C")
+    h_init, c_init = h, c
+    H = np.empty((T, hs, B))
+    ig = np.empty((hs, B))
+    if keep_cache:
+        Z, C, TC = np.empty((T, 4 * hs, B)), np.empty((T, hs, B)), np.empty((T, hs, B))
+    else:
+        z = np.empty((4 * hs, B))  # one buffer reused at every step
 
-    cache = LSTMCache(X=X, H=H, I=I, F=F, G=G, O=O, C=C, TC=TC, h0=h0_saved, c0=c0_saved)
-    return H, h.copy(), c.copy(), cache
+    # exp(-z) overflows to inf for z < -709; 1/(1+inf) is then exactly 0.
+    with np.errstate(over="ignore"):
+        for t in range(T):
+            if keep_cache:
+                z, c_next, tc = Z[t], C[t], TC[t]
+            else:
+                c_next, tc = c, H[t]  # c updates in place; tanh(c) lands in H[t]
+            np.matmul(U, h, out=z)
+            z += XWb[t]
+            s = z[: 3 * hs]
+            np.negative(s, out=s)
+            np.exp(s, out=s)
+            s += 1.0
+            np.divide(1.0, s, out=s)
+            i, f, o, g = z[:hs], z[hs : 2 * hs], z[2 * hs : 3 * hs], z[3 * hs :]
+            np.tanh(g, out=g)
+            np.multiply(i, g, out=ig)
+            np.multiply(f, c, out=c_next)
+            c_next += ig
+            np.tanh(c_next, out=tc)
+            np.multiply(o, tc, out=H[t])
+            h, c = H[t], c_next
+
+    cache = (
+        LSTMCache(X=X, Z=Z, C=C, TC=TC, H=H, h0=h_init, c0=c_init) if keep_cache else None
+    )
+    return H.transpose(0, 2, 1), h.T, c.T, cache
 
 
 def lstm_backward(
@@ -126,39 +172,64 @@ def lstm_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, np.ndarray]]:
     """Backpropagation through time over one layer.
 
-    `dH` is the loss gradient with respect to every emitted hidden state
-    (None for no per-step gradient); `dh_final` / `dc_final` add gradient
-    arriving at the final states from outside the sequence. Returns
-    (dX, dh0, dc0, grads) with grads keyed "W", "U", "b".
+    `dH` is the loss gradient with respect to every emitted hidden state,
+    (T, B, hs) or None for no per-step gradient; `dh_final` / `dc_final`
+    add gradient arriving at the final states from outside the sequence.
+    Returns (dX, dh0, dc0, grads) with grads keyed "W", "U", "b" in the
+    [i, f, g, o] gate order. dX has the shape of X, except when X was
+    time-invariant (see `lstm_forward`): then it is the gradient of the
+    one shared input, shape (1, B, input_size).
     """
-    X, H, I, F, G, O, C, TC = (
-        cache.X, cache.H, cache.I, cache.F, cache.G, cache.O, cache.C, cache.TC,
-    )
+    X, Z, C, TC, H = cache.X, cache.Z, cache.C, cache.TC, cache.H
     T, B, _ = X.shape
     hs = params.hidden_size
+    rows = _gate_rows(hs)
+    U = params.U[rows]
+    W = params.W[rows]
 
-    dh_next = np.zeros((B, hs)) if dh_final is None else np.asarray(dh_final, dtype=np.float64)
-    dc_next = np.zeros((B, hs)) if dc_final is None else np.asarray(dc_final, dtype=np.float64)
-    dZ = np.empty((T, B, 4 * hs))
+    I, F, O, G = Z[:, :hs], Z[:, hs : 2 * hs], Z[:, 2 * hs : 3 * hs], Z[:, 3 * hs :]
+    # dZ starts as the part of each gate's gradient that is known before
+    # the loop, for all steps at once; the loop then scales rows i, f, g
+    # by the cell gradient dc and rows o by the hidden gradient dh.
+    dZ = 1.0 - Z
+    dZ[:, : 3 * hs] *= Z[:, : 3 * hs]  # sigmoid' = s (1 - s)
+    dZ[:, 3 * hs :] *= 1.0 + G  # tanh' = (1 - g)(1 + g)
+    dZ[:, :hs] *= G
+    dZ[1:, hs : 2 * hs] *= C[:-1]
+    dZ[0, hs : 2 * hs] *= cache.c0
+    dZ[:, 2 * hs : 3 * hs] *= TC
+    dZ[:, 3 * hs :] *= I
+    dc_dh = O * ((1.0 - TC) * (1.0 + TC))  # through h = o * tanh(c)
+    dH_steps = None if dH is None else np.asarray(dH, dtype=np.float64).transpose(0, 2, 1)
+
+    dh = np.zeros((hs, B)) if dh_final is None else np.array(np.transpose(dh_final), np.float64)
+    dc = np.zeros((hs, B)) if dc_final is None else np.array(np.transpose(dc_final), np.float64)
+    dc_step = np.empty((hs, B))
     for t in reversed(range(T)):
-        dh = dh_next if dH is None else dH[t] + dh_next
-        c_prev = C[t - 1] if t > 0 else cache.c0
-        do = dh * TC[t]
-        dc = dh * O[t] * (1.0 - TC[t] ** 2) + dc_next
-        dZ[t, :, :hs] = (dc * G[t]) * I[t] * (1.0 - I[t])
-        dZ[t, :, hs : 2 * hs] = (dc * c_prev) * F[t] * (1.0 - F[t])
-        dZ[t, :, 2 * hs : 3 * hs] = (dc * I[t]) * (1.0 - G[t] ** 2)
-        dZ[t, :, 3 * hs :] = do * O[t] * (1.0 - O[t])
-        dh_next = dZ[t] @ params.U
-        dc_next = dc * F[t]
+        if dH_steps is not None:
+            dh += dH_steps[t]
+        np.multiply(dh, dc_dh[t], out=dc_step)
+        dc += dc_step
+        dz = dZ[t]
+        dz_if = dz[: 2 * hs].reshape(2, hs, B)  # a view: rows i and f
+        dz_if *= dc
+        dz[2 * hs : 3 * hs] *= dh
+        dz[3 * hs :] *= dc
+        dh = U.T @ dz
+        dc *= F[t]
 
-    # Weight gradients batch over all (t, b) pairs at once.
-    flat_dZ = dZ.reshape(T * B, 4 * hs)
-    H_prev = np.concatenate([cache.h0[None], H[:-1]], axis=0)
-    grads = {
-        "W": flat_dZ.T @ X.reshape(T * B, -1),
-        "U": flat_dZ.T @ H_prev.reshape(T * B, hs),
-        "b": flat_dZ.sum(axis=0),
-    }
-    dX = (flat_dZ @ params.W).reshape(X.shape)
-    return dX, dh_next, dc_next, grads
+    # Weight gradients sum over all (t, b) pairs.
+    dU = dZ[0] @ cache.h0.T
+    if T > 1:
+        dU += np.matmul(dZ[1:], H[:-1].transpose(0, 2, 1)).sum(axis=0)
+    if _time_invariant(X):
+        # One input shared by every step: its gradient and dW both see the
+        # step-summed dZ, never a T-fold copy of it.
+        dZ_sum = dZ.sum(axis=0)
+        dW = dZ_sum @ X[0]
+        dX = (W.T @ dZ_sum).T[None]
+    else:
+        dW = np.matmul(dZ, X).sum(axis=0)
+        dX = np.matmul(W.T, dZ).transpose(0, 2, 1)
+    grads = {"W": dW[rows], "U": dU[rows], "b": dZ.sum(axis=(0, 2))[rows]}
+    return dX, dh.T, dc.T, grads

@@ -140,14 +140,20 @@ def _as_values(x) -> np.ndarray:
 
 @dataclass
 class _ForwardCache:
-    encoder: list[LSTMCache]
-    decoder: list[LSTMCache]
-    latent: np.ndarray  # (B, hs)
+    encoder: list[LSTMCache | None]
+    decoder: list[LSTMCache | None]
+    top: np.ndarray  # top decoder hidden states, (T, B, hs)
     Y: np.ndarray  # (T, B)
 
 
-def _forward_batch(model: AutoencoderModel, X: np.ndarray) -> _ForwardCache:
-    """Forward pass over a (T, B) batch of normalized windows."""
+def _forward_batch(
+    model: AutoencoderModel, X: np.ndarray, keep_cache: bool = False
+) -> _ForwardCache:
+    """Forward pass over a (T, B) batch of normalized windows.
+
+    The per-layer backward caches are built only with `keep_cache`;
+    scoring and validation never need them.
+    """
     T, B = X.shape
     hs = model.hidden_size
 
@@ -155,18 +161,20 @@ def _forward_batch(model: AutoencoderModel, X: np.ndarray) -> _ForwardCache:
     enc_caches = []
     h_final = None
     for layer in model.encoder_layers:
-        seq, h_final, _, cache = lstm_forward(layer, seq)
+        seq, h_final, _, cache = lstm_forward(layer, seq, keep_cache=keep_cache)
         enc_caches.append(cache)
     latent = h_final  # (B, hs)
 
-    dec_seq = np.broadcast_to(latent, (T, B, hs)).copy()
+    # The code tiled over T as a stride-0 view: the bottom decoder layer
+    # projects it once instead of once per step.
+    dec_seq = np.broadcast_to(latent, (T, B, hs))
     dec_caches = []
     for layer in model.decoder_layers:
-        dec_seq, _, _, cache = lstm_forward(layer, dec_seq, h0=latent)
+        dec_seq, _, _, cache = lstm_forward(layer, dec_seq, h0=latent, keep_cache=keep_cache)
         dec_caches.append(cache)
 
-    Y = dec_seq.reshape(T * B, hs) @ model.w_out[0] + model.b_out[0]
-    return _ForwardCache(encoder=enc_caches, decoder=dec_caches, latent=latent, Y=Y.reshape(T, B))
+    Y = dec_seq @ model.w_out[0] + model.b_out[0]
+    return _ForwardCache(encoder=enc_caches, decoder=dec_caches, top=dec_seq, Y=Y)
 
 
 def forward(model: AutoencoderModel, x) -> np.ndarray:
@@ -200,11 +208,8 @@ def _backward_batch(
     dY = (2.0 / (T * B)) * R
 
     grads: dict[str, np.ndarray] = {}
-    H_top = cache.decoder[-1].H
-    flat_dY = dY.reshape(T * B)
-    flat_H = H_top.reshape(T * B, hs)
-    grads["output.W"] = (flat_dY @ flat_H)[None, :]
-    grads["output.b"] = np.array([flat_dY.sum()])
+    grads["output.W"] = np.tensordot(dY, cache.top, axes=2)[None, :]
+    grads["output.b"] = np.array([dY.sum()])
 
     dH = dY[:, :, None] * model.w_out[0]
     dlatent = np.zeros((B, hs))
@@ -214,7 +219,7 @@ def _backward_batch(
         dH = dX_dec
         for name, arr in g.items():
             grads[f"decoder.{k}.{name}"] = arr
-    dlatent += dH.sum(axis=0)  # the bottom decoder input is the code, tiled
+    dlatent += dH[0]  # the bottom decoder layer's one shared input is the code
 
     dH_enc: np.ndarray | None = None
     for k in reversed(range(n)):
@@ -233,7 +238,7 @@ def _backward_batch(
 
 def loss_and_gradients(model: AutoencoderModel, X: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
     """Batch loss and gradients for (T, B) windows; the training step."""
-    cache = _forward_batch(model, X)
+    cache = _forward_batch(model, X, keep_cache=True)
     return _backward_batch(model, X, cache)
 
 

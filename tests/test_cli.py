@@ -7,6 +7,8 @@ next stage the same way a shell pipeline would use them.
 from __future__ import annotations
 
 import json
+import struct
+import warnings
 
 import pytest
 
@@ -18,7 +20,8 @@ from hivewatch.detector import (
     read_threshold,
     write_events,
 )
-from hivewatch.nn import load_model
+from hivewatch.nn import load_model, model_parameters, save_model
+from hivewatch.nn.checkpoint import MAGIC
 
 
 def run(*argv: str) -> int:
@@ -204,6 +207,93 @@ class TestDetect:
             "--checkpoint", str(pipeline / "train" / "model.bin"),
             "--out-dir", str(tmp_path / "det"),
         ) == 2
+
+
+def rewrite_header(src, dst, mutate) -> None:
+    """Copy a checkpoint, passing its JSON header through `mutate`."""
+    raw = src.read_bytes()
+    start = len(MAGIC) + 4
+    (length,) = struct.unpack_from("<I", raw, len(MAGIC))
+    blob = json.dumps(mutate(json.loads(raw[start : start + length]))).encode()
+    dst.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + raw[start + length :])
+
+
+def without(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+def with_hyper(**fields):
+    return lambda doc: {**doc, "hyper": {**doc["hyper"], **fields}}
+
+
+def with_first_array(**fields):
+    return lambda doc: {**doc, "arrays": [{**doc["arrays"][0], **fields}, *doc["arrays"][1:]]}
+
+
+class TestBadCheckpoint:
+    """Malformed or diverged checkpoints are data errors: exit 3 and one
+    `error: data:` line, never a traceback or a silent "no events"."""
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            without("hyper"),
+            without("arrays"),
+            lambda doc: [doc],
+            lambda doc: {**doc, "hyper": [4, 1]},
+            with_hyper(hidden_size="4"),
+            with_hyper(n_layers=None),
+            with_hyper(window_size=True),
+            with_hyper(n_layers=0),
+            with_first_array(shape=None),
+            with_first_array(shape=[-16, 1]),
+            lambda doc: {**doc, "arrays": [{"shape": a["shape"]} for a in doc["arrays"]]},
+            lambda doc: {**doc, "norm": {"mean": 34.5}},
+            lambda doc: {**doc, "norm": {"mean": 34.5, "std": 0.0}},
+        ],
+        ids=[
+            "no-hyper", "no-arrays", "header-list", "hyper-list", "hs-string",
+            "layers-null", "window-bool", "zero-layers", "shape-null",
+            "shape-negative", "array-unnamed", "norm-no-std", "norm-zero-std",
+        ],
+    )
+    def test_header_fields_checked(self, pipeline, tmp_path, capsys, mutate) -> None:
+        bad = tmp_path / "bad.bin"
+        rewrite_header(pipeline / "train" / "model.bin", bad, mutate)
+        assert run(
+            "detect", "--input", str(pipeline / "synth" / "trace.csv"),
+            "--sensor", "temp_core", "--checkpoint", str(bad),
+            "--alpha", "0.5", "--out-dir", str(tmp_path / "det"),
+        ) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: data: CheckpointError")
+
+    @pytest.fixture
+    def diverged(self, pipeline, tmp_path):
+        """The trained model with every weight scaled to about 1e300:
+        still finite, so it loads, but its reconstructions overflow."""
+        model = load_model(pipeline / "train" / "model.bin")
+        for arr in model_parameters(model).values():
+            arr *= 1e300
+        path = tmp_path / "diverged.bin"
+        save_model(path, model)
+        return path
+
+    @pytest.mark.parametrize("command", ["detect", "calibrate"])
+    def test_non_finite_scores_rejected(self, pipeline, diverged, tmp_path, capsys, command):
+        argv = [command, "--input", str(pipeline / "synth" / "trace.csv"),
+                "--sensor", "temp_core", "--checkpoint", str(diverged),
+                "--out-dir", str(tmp_path / "out")]
+        if command == "detect":
+            argv += ["--alpha", "0.5"]
+        else:
+            argv += ["--splits", str(pipeline / "train" / "splits.txt")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(*argv) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "non-finite reconstruction error" in err[0]
+        assert not (tmp_path / "out" / "ae_events.csv").exists()
 
 
 class TestRba:

@@ -13,7 +13,10 @@ import pytest
 from hivewatch.nn import (
     backward,
     forward,
+    init_layer,
     init_model,
+    lstm_backward,
+    lstm_forward,
     model_parameters,
     reconstruction_loss,
 )
@@ -55,7 +58,7 @@ def roughened_model(hs, n, w, seed):
 
 class TestGradientCheck:
     @pytest.mark.parametrize("hs", [2, 3, 4])
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("w", [4, 8])
     def test_backward_matches_finite_differences(self, hs, n, w):
         model = roughened_model(hs, n, w, seed=100 * hs + 10 * n + w)
@@ -73,6 +76,28 @@ class TestGradientCheck:
         a, b = backward(model, x), backward(model, x)
         for name in a:
             np.testing.assert_array_equal(a[name], b[name])
+
+
+class TestTimeInvariantInput:
+    def test_shared_input_matches_tiled_copy(self):
+        """A stride-0 input (one array read at every step) takes the
+        project-once path; it must agree with a materialized copy, and
+        its dX is the gradient of the one shared array."""
+        rng = np.random.default_rng(7)
+        layer = init_layer(3, 4, rng)
+        code = rng.normal(size=(5, 3))
+        tiled = np.broadcast_to(code, (6, 5, 3))
+        dH = rng.normal(size=(6, 5, 4))
+        H_view, _, _, cache_view = lstm_forward(layer, tiled)
+        H_copy, _, _, cache_copy = lstm_forward(layer, tiled.copy())
+        np.testing.assert_allclose(H_view, H_copy, rtol=1e-13, atol=1e-15)
+        dX_view, dh0_view, _, g_view = lstm_backward(layer, cache_view, dH)
+        dX_copy, dh0_copy, _, g_copy = lstm_backward(layer, cache_copy, dH)
+        assert dX_view.shape == (1, 5, 3)
+        np.testing.assert_allclose(dX_view[0], dX_copy.sum(axis=0), rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(dh0_view, dh0_copy, rtol=1e-12, atol=1e-14)
+        for name in ("W", "U", "b"):
+            np.testing.assert_allclose(g_view[name], g_copy[name], rtol=1e-12, atol=1e-14)
 
 
 class TestGradientStructure:

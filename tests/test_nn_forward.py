@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from hivewatch.nn import (
     reconstruction_loss,
     set_model_parameters,
 )
+from hivewatch.nn.model import _forward_batch
 
 # Reconstruction of np.linspace(-1, 1, 60) by the seed-7 (hs=4, n=1, w=60)
 # model, recorded once from the verified implementation and locked.
@@ -127,6 +130,42 @@ class TestForward:
         forward(model, np.ones(6))
         for k, p in model_parameters(model).items():
             np.testing.assert_array_equal(p, before[k])
+
+
+class TestForwardOnly:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_cache_free_output_is_bit_identical(self, n):
+        """Scoring skips the backward cache; it must not change a bit."""
+        model = init_model(5, n, 12, seed=n)
+        rng = np.random.default_rng(n)
+        for p in model_parameters(model).values():
+            p += rng.normal(0.0, 0.5, size=p.shape)
+        X = rng.normal(size=(12, 33))
+        plain = _forward_batch(model, X)
+        cached = _forward_batch(model, X, keep_cache=True)
+        assert all(c is None for c in (*plain.encoder, *plain.decoder))
+        np.testing.assert_array_equal(plain.Y, cached.Y)
+
+    def test_saturated_gates_are_exact_and_silent(self):
+        """Biases of +-1000 push exp(-z) to inf or 0: the gates come out
+        exactly 1 (input, output) and 0 (forget), with no overflow warning."""
+        hs = 3
+        layer = init_layer(2, hs, np.random.default_rng(0))
+        layer.b[:hs] = 1000.0
+        layer.b[hs : 2 * hs] = -1000.0
+        layer.b[3 * hs :] = 1000.0
+        X = np.random.default_rng(1).normal(size=(7, 4, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            H, _, c, cache = lstm_forward(layer, X)
+            H_plain, _, c_plain, _ = lstm_forward(layer, X, keep_cache=False)
+        i, f, o, g = np.split(cache.Z, 4, axis=1)  # rows [i, f, o, g]
+        assert np.all(i == 1.0) and np.all(f == 0.0) and np.all(o == 1.0)
+        # A closed forget gate and open input gate make c_t = g_t exactly.
+        np.testing.assert_array_equal(cache.C, g)
+        np.testing.assert_array_equal(H, np.tanh(g).transpose(0, 2, 1))
+        np.testing.assert_array_equal(H_plain, H)
+        np.testing.assert_array_equal(c_plain, c)
 
 
 class TestStability:
