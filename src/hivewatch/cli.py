@@ -55,7 +55,7 @@ from .detector import (
     write_events,
     write_threshold,
 )
-from .errors import DATA_ERRORS, HivewatchError, InvalidHyperparameter, UsageError
+from .errors import DATA_ERRORS, InvalidHyperparameter, UsageError
 from .nn import TrainConfig, init_model, load_model, save_model, train
 from .rba import RbaConfig, rba_detect
 from .search import SearchSpace, random_search, write_search_report
@@ -278,11 +278,9 @@ def cmd_search(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    out = _out_dir(args)
-    threshold_path = out / "threshold.json"
-
     if args.alpha is not None:
         threshold = Threshold(alpha=args.alpha, method="manual")
+        threshold_path = _out_dir(args) / "threshold.json"
         write_threshold(threshold_path, threshold)
         _write_manifest(args, inputs=[], outputs=[threshold_path])
         print(f"manual threshold alpha={threshold.alpha!r} at {threshold_path}")
@@ -308,6 +306,7 @@ def cmd_calibrate(args) -> int:
     threshold = calibrate(
         model, val_w, holdout_windows=holdout_w or None, quantile=args.quantile
     )
+    threshold_path = _out_dir(args) / "threshold.json"
     write_threshold(threshold_path, threshold)
 
     inputs = [args.checkpoint, args.input]
@@ -587,7 +586,7 @@ def main(argv=None) -> int:
     except DATA_ERRORS as exc:
         print(f"error: data: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except HivewatchError as exc:
+    except Exception as exc:
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     DegenerateStd,
+    EmptyDataset,
     EmptyTrace,
     FileUnreadable,
     MalformedHeader,
@@ -216,8 +217,12 @@ def _parse_timestamp(cell: str) -> tuple[int, int] | None:
     return int(round(dt.timestamp())), offset
 
 
-def ingest(path, fmt: IngestFormat = IngestFormat(), hive_id: str | None = None) -> SensorTrace:
+def ingest(path, fmt: IngestFormat | None = None, hive_id: str | None = None) -> SensorTrace:
     """Read a delimited sensor file into a trace.
+
+    Without `fmt`, the delimiter comes from the header line: tab if it
+    holds one, comma otherwise, so both layouts `write_trace` produces
+    read back.
 
     Unparseable value cells become missing readings; rows whose timestamp
     cannot be parsed are dropped and counted. Out-of-order rows are sorted
@@ -231,11 +236,14 @@ def ingest(path, fmt: IngestFormat = IngestFormat(), hive_id: str | None = None)
     except OSError as exc:
         raise FileUnreadable(f"cannot open {path}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh, delimiter=fmt.delimiter)
+        first = fh.readline()
+        if fmt is None:
+            fmt = IngestFormat(delimiter="\t" if "\t" in first else ",")
         try:
-            header = next(reader)
-        except (StopIteration, csv.Error) as exc:
+            header = next(csv.reader([first], delimiter=fmt.delimiter))
+        except csv.Error as exc:
             raise MalformedHeader(f"{path}: empty or unreadable header") from exc
+        reader = csv.reader(fh, delimiter=fmt.delimiter)
         if not header or header[0].strip().lower() != "timestamp":
             raise MalformedHeader(f"{path}: first header column must be 'timestamp'")
         names = [c.strip() for c in header[1:]]
@@ -457,7 +465,7 @@ def fit_normalization(trace: SensorTrace, sensor: str, days: set) -> Normalizati
     mask = np.isin(trace.day_numbers(), sorted(wanted)) & np.isfinite(col)
     vals = col[mask]
     if len(vals) < 2:
-        raise ValueError(f"need at least 2 readings in the given days, have {len(vals)}")
+        raise EmptyDataset(f"need at least 2 readings in the given days, have {len(vals)}")
     std = float(np.std(vals))
     if std < 1e-9:
         raise DegenerateStd(f"sensor {sensor!r} is constant over the given days")

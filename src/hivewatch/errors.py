@@ -19,6 +19,10 @@ class NonMonotonicTimestamps(HivewatchError):
     """More than 1% of rows are out of timestamp order."""
 
 
+class UnsupportedSampling(HivewatchError):
+    """Trace's sampling period is not one the operation supports."""
+
+
 class EmptyTrace(HivewatchError):
     """Operation requires a trace with at least one reading."""
 
@@ -80,6 +84,7 @@ DATA_ERRORS = (
     FileUnreadable,
     MalformedHeader,
     NonMonotonicTimestamps,
+    UnsupportedSampling,
     EmptyTrace,
     UnknownSensor,
     NoNormalDays,

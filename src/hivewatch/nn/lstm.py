@@ -7,8 +7,11 @@ output], so all three have leading dimension 4*hidden_size.
 The recurrence itself runs feature-major: states are (hs, B) blocks and
 the gate pre-activations one (4*hs, B) block whose rows are permuted to
 [input, forget, output, cell-candidate], so a single in-place sigmoid
-covers the three sigmoid gates. Callers see time-major (T, B, features)
-arrays; the transposes between the two layouts are views.
+covers the three sigmoid gates. Each forward step is one matmul: the
+stacked weights [U | W | b], with the sigmoid rows negated, against a
+small state buffer [h_{t-1}; x_t; 1]. Callers see time-major
+(T, B, features) arrays; the transposes between the two layouts are
+views.
 """
 
 from __future__ import annotations
@@ -98,35 +101,34 @@ def lstm_forward(
     Returns the hidden-state sequence (T, B, hs), the final hidden and
     cell states (B, hs), and the cache `lstm_backward` consumes; the
     cache is None, and never built, when `keep_cache` is false. Both
-    settings give bit-identical outputs.
+    settings run the same loop and give bit-identical outputs.
 
-    An X whose time axis has stride 0, such as `np.broadcast_to` of one
-    (B, input_size) array, feeds the same input at every step; its input
-    projection is then computed once.
+    Each step copies x_t into a (hs + input_size + 1, B) buffer that
+    already holds h_{t-1} and a row of ones, and computes all four gate
+    pre-activations with one matmul against [U | W | b]. No T-long input
+    projection is built, so an X whose time axis has stride 0 (such as
+    `np.broadcast_to` of one (B, input_size) array) needs no special case.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 3 or X.shape[2] != params.input_size:
         raise ShapeMismatch(
             f"input shape {X.shape} incompatible with input_size {params.input_size}"
         )
-    T, B, _ = X.shape
+    T, B, D = X.shape
     hs = params.hidden_size
     rows = _gate_rows(hs)
-    U = params.U[rows]
-    W = params.W[rows]
-    b = params.b[rows, None]
-
-    # Input contributions do not depend on the recurrence: one projection,
-    # with the bias folded in, ahead of the loop.
-    if _time_invariant(X):
-        XWb = np.broadcast_to(W @ X[0].T + b, (T, 4 * hs, B))
-    else:
-        XWb = np.matmul(W, X.transpose(0, 2, 1))
-        XWb += b
-
-    h = np.zeros((hs, B)) if h0 is None else np.array(np.transpose(h0), np.float64, order="C")
+    # Stacked weights [U | W | b], gate rows [i, f, o, g]. The sigmoid rows
+    # are negated (exact in IEEE arithmetic), so z holds -pre-activation
+    # there and each sigmoid is 1 / (1 + exp(z)).
+    A = np.concatenate([params.U[rows], params.W[rows], params.b[rows, None]], axis=1)
+    np.negative(A[: 3 * hs], out=A[: 3 * hs])
+    # [h_{t-1}; x_t; 1]: the loop rewrites the h and x rows at every step.
+    hx = np.empty((hs + D + 1, B))
+    h, x = hx[:hs], hx[hs : hs + D]
+    hx[hs + D] = 1.0
+    h[...] = 0.0 if h0 is None else np.transpose(h0)
     c = np.zeros((hs, B)) if c0 is None else np.array(np.transpose(c0), np.float64, order="C")
-    h_init, c_init = h, c
+    h_init, c_init = h.copy(), c
     H = np.empty((T, hs, B))
     ig = np.empty((hs, B))
     if keep_cache:
@@ -134,17 +136,16 @@ def lstm_forward(
     else:
         z = np.empty((4 * hs, B))  # one buffer reused at every step
 
-    # exp(-z) overflows to inf for z < -709; 1/(1+inf) is then exactly 0.
+    # exp(z) overflows to inf for z > 709; 1/(1+inf) is then exactly 0.
     with np.errstate(over="ignore"):
         for t in range(T):
             if keep_cache:
                 z, c_next, tc = Z[t], C[t], TC[t]
             else:
                 c_next, tc = c, H[t]  # c updates in place; tanh(c) lands in H[t]
-            np.matmul(U, h, out=z)
-            z += XWb[t]
+            x[...] = X[t].T
+            np.matmul(A, hx, out=z)
             s = z[: 3 * hs]
-            np.negative(s, out=s)
             np.exp(s, out=s)
             s += 1.0
             np.divide(1.0, s, out=s)
@@ -155,12 +156,14 @@ def lstm_forward(
             c_next += ig
             np.tanh(c_next, out=tc)
             np.multiply(o, tc, out=H[t])
-            h, c = H[t], c_next
+            h[...] = H[t]
+            c = c_next
 
     cache = (
         LSTMCache(X=X, Z=Z, C=C, TC=TC, H=H, h0=h_init, c0=c_init) if keep_cache else None
     )
-    return H.transpose(0, 2, 1), h.T, c.T, cache
+    h_final = H[-1] if T else h_init
+    return H.transpose(0, 2, 1), h_final.T, c.T, cache
 
 
 def lstm_backward(

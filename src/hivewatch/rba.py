@@ -14,6 +14,7 @@ import numpy as np
 
 from .data import BROOD_TEMP_C, SensorTrace, sample_period, _contiguous_runs
 from .detector import DetectionEvent
+from .errors import UnsupportedSampling
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,7 @@ def rba_detect(
     """
     period = sample_period(trace)
     if len(trace) > 1 and period != 60:
-        raise ValueError(
+        raise UnsupportedSampling(
             f"rule-based detection needs one reading per minute, trace has {period}s steps"
         )
     col = trace.sensor(sensor)

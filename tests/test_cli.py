@@ -99,6 +99,18 @@ class TestSynth:
         header = (out / "trace.tsv").read_text().splitlines()[0]
         assert "\t" in header
 
+    def test_tsv_trace_reads_back(self, tmp_path) -> None:
+        """Commands read the tab layout synth writes, with the same result
+        as its comma twin."""
+        for fmt in ("csv", "tsv"):
+            assert run("synth", "--days", "2", "--seed", "4", "--format", fmt,
+                       "--anomaly", "1:swarm:600", "--out-dir", str(tmp_path / fmt)) == 0
+            assert run("rba", "--input", str(tmp_path / fmt / f"trace.{fmt}"),
+                       "--out-dir", str(tmp_path / f"rba-{fmt}")) == 0
+        csv_events = (tmp_path / "rba-csv" / "rba_events.csv").read_bytes()
+        assert csv_events == (tmp_path / "rba-tsv" / "rba_events.csv").read_bytes()
+        assert len(read_events(tmp_path / "rba-csv" / "rba_events.csv")) == 1
+
 
 class TestTrain:
     def test_checkpoint_and_history(self, pipeline) -> None:
@@ -174,6 +186,18 @@ class TestCalibrate:
 
     def test_missing_inputs_is_usage_error(self, tmp_path) -> None:
         assert run("calibrate", "--out-dir", str(tmp_path / "c")) == 2
+
+    def test_data_error_writes_nothing(self, pipeline, tmp_path, capsys) -> None:
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"not a checkpoint")
+        out = tmp_path / "cal"
+        assert run(
+            "calibrate", "--checkpoint", str(bad),
+            "--input", str(pipeline / "synth" / "trace.csv"),
+            "--splits", str(pipeline / "train" / "splits.txt"), "--out-dir", str(out),
+        ) == 3
+        assert capsys.readouterr().err.startswith("error: data: CheckpointError")
+        assert not out.exists()
 
 
 class TestDetect:
@@ -316,6 +340,20 @@ class TestRba:
         assert run("rba", "--input", str(tmp_path / "nope.csv"),
                    "--sensor", "temp_core", "--out-dir", str(tmp_path / "r")) == 3
 
+    def test_five_minute_trace_is_data_error(self, tmp_path, capsys) -> None:
+        trace = tmp_path / "coarse.csv"
+        trace.write_text(
+            "timestamp,temp_core\n" + "".join(f"{300 * i},34.5\n" for i in range(50)),
+            encoding="utf-8",
+        )
+        out = tmp_path / "r"
+        assert run("rba", "--input", str(trace), "--out-dir", str(out)) == 3
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: data: UnsupportedSampling")
+        assert "Traceback" not in captured.out + captured.err
+        assert not out.exists()
+
 
 class TestCorr:
     def test_explicit_day_list(self, pipeline, tmp_path) -> None:
@@ -411,6 +449,17 @@ class TestReport:
 
 
 class TestParser:
+    def test_unexpected_exception_is_internal_error(self, tmp_path, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("hivewatch.cli.ingest", broken)
+        assert run("rba", "--input", str(tmp_path / "t.csv"),
+                   "--out-dir", str(tmp_path / "r")) == 4
+        captured = capsys.readouterr()
+        assert captured.err == "error: internal: RuntimeError: boom\n"
+        assert "Traceback" not in captured.out
+
     def test_unknown_command_exits_two(self) -> None:
         with pytest.raises(SystemExit) as exc:
             run("explode", "--out-dir", "/tmp/x")

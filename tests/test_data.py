@@ -33,6 +33,7 @@ from hivewatch.data import (
 )
 from hivewatch.errors import (
     DegenerateStd,
+    EmptyDataset,
     MalformedHeader,
     NonMonotonicTimestamps,
     NoNormalDays,
@@ -336,6 +337,13 @@ class TestNormalization:
         params = fit_normalization(minute_trace(vals), "temp_core", {date(1970, 1, 1)})
         assert params.mean == pytest.approx(35.0)
         assert params.std == pytest.approx(1.0)
+
+    def test_fewer_than_two_readings(self):
+        trace = minute_trace([34.0, np.nan, 36.0])
+        with pytest.raises(EmptyDataset):
+            fit_normalization(trace, "temp_core", {date(1970, 1, 2)})
+        with pytest.raises(EmptyDataset):
+            fit_normalization(minute_trace([34.0, np.nan]), "temp_core", {date(1970, 1, 1)})
 
     def test_degenerate_std(self):
         with pytest.raises(DegenerateStd):

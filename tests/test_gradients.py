@@ -80,9 +80,9 @@ class TestGradientCheck:
 
 class TestTimeInvariantInput:
     def test_shared_input_matches_tiled_copy(self):
-        """A stride-0 input (one array read at every step) takes the
-        project-once path; it must agree with a materialized copy, and
-        its dX is the gradient of the one shared array."""
+        """A stride-0 input (one array read at every step) must agree
+        with a materialized copy, forward and backward, and its dX is the
+        gradient of the one shared array."""
         rng = np.random.default_rng(7)
         layer = init_layer(3, 4, rng)
         code = rng.normal(size=(5, 3))

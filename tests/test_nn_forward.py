@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -166,6 +167,58 @@ class TestForwardOnly:
         np.testing.assert_array_equal(H, np.tanh(g).transpose(0, 2, 1))
         np.testing.assert_array_equal(H_plain, H)
         np.testing.assert_array_equal(c_plain, c)
+
+
+def unfused_lstm(layer, X, h0, c0):
+    """Per-step reference in the checkpoint's [i, f, g, o] gate order:
+    W x_t + U h + b, then the textbook gate algebra."""
+    hs = layer.hidden_size
+
+    def sigmoid(v):
+        return 1.0 / (1.0 + np.exp(-v))
+
+    h, c, H = h0, c0, []
+    for x in X:
+        z = x @ layer.W.T + h @ layer.U.T + layer.b
+        i, f = sigmoid(z[:, :hs]), sigmoid(z[:, hs : 2 * hs])
+        g, o = np.tanh(z[:, 2 * hs : 3 * hs]), sigmoid(z[:, 3 * hs :])
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        H.append(h)
+    return np.stack(H), h, c
+
+
+class TestStackedStep:
+    @pytest.mark.parametrize("keep_cache", [True, False])
+    @pytest.mark.parametrize("D", [1, 6])
+    def test_matches_unfused_reference(self, D, keep_cache):
+        hs = 6
+        rng = np.random.default_rng(D)
+        layer = init_layer(D, hs, rng)
+        layer.b += rng.normal(0.0, 0.5, size=layer.b.shape)
+        X = rng.normal(size=(9, 7, D))
+        h0, c0 = rng.normal(0.0, 0.5, size=(7, hs)), rng.normal(size=(7, hs))
+        H, h, c, cache = lstm_forward(layer, X, h0=h0, c0=c0, keep_cache=keep_cache)
+        H_ref, h_ref, c_ref = unfused_lstm(layer, X, h0, c0)
+        assert (cache is not None) == keep_cache
+        np.testing.assert_allclose(H, H_ref, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(h, h_ref, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(c, c_ref, rtol=1e-12, atol=1e-15)
+
+    def test_cache_free_pass_builds_no_sequence_sized_gate_block(self):
+        """Scoring a 512-window chunk at hs 16 allocates less than one
+        T x 4hs x B float64 block (15.7 MB): no input projection across
+        time, and no per-step gate cache."""
+        T, B, hs = 60, 512, 16
+        layer = init_layer(1, hs, np.random.default_rng(0))
+        X = np.random.default_rng(1).normal(size=(T, B, 1))
+        tracemalloc.start()
+        try:
+            lstm_forward(layer, X, keep_cache=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < T * 4 * hs * B * 8
 
 
 class TestStability:

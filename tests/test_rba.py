@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hivewatch.data import SensorColumn, SensorTrace
-from hivewatch.errors import UnknownSensor
+from hivewatch.errors import UnknownSensor, UnsupportedSampling
 from hivewatch.rba import RbaConfig, rba_detect
 
 
@@ -129,7 +129,7 @@ class TestHandTracedCases:
             timestamps=np.array([0, 10, 20]),
             values=np.full((1, 3), 36.0),
         )
-        with pytest.raises(ValueError, match="per minute"):
+        with pytest.raises(UnsupportedSampling, match="per minute"):
             rba_detect(trace, "temp_core")
 
 
