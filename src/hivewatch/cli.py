@@ -2,7 +2,9 @@
 
 Each command reads input files, writes its outputs into --out-dir, and
 drops a `<command>_manifest.json` beside them recording every parameter,
-input digest, and seed needed to reproduce the outputs byte-for-byte.
+input digest, and seed needed to reproduce the outputs byte-for-byte,
+plus, for commands that read a trace, its ingest report (rows, repairs,
+and which parser ran).
 Exit codes: 0 success, 2 usage error, 3 data error, 4 internal error.
 All randomness flows from the single --seed flag: it seeds both weight
 initialization and epoch shuffling directly, and the generator noise
@@ -71,6 +73,7 @@ class RunManifest:
     parameters: dict
     inputs: dict = field(default_factory=dict)  # path -> sha256
     outputs: list = field(default_factory=list)
+    ingest: dict | None = None  # the trace's ingest metadata, if one was read
     tool_version: str = __version__
 
     def write(self, path) -> None:
@@ -81,6 +84,8 @@ class RunManifest:
             "inputs": self.inputs,
             "outputs": self.outputs,
         }
+        if self.ingest is not None:
+            doc["ingest"] = self.ingest
         Path(path).write_text(
             json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
         )
@@ -104,7 +109,7 @@ def _jsonable(value):
     return value
 
 
-def _write_manifest(args, inputs: list, outputs: list) -> Path:
+def _write_manifest(args, inputs: list, outputs: list, trace=None) -> Path:
     params = {
         k: _jsonable(v) for k, v in vars(args).items() if k not in ("func", "command")
     }
@@ -113,6 +118,7 @@ def _write_manifest(args, inputs: list, outputs: list) -> Path:
         parameters=params,
         inputs={str(p): _sha256(p) for p in inputs},
         outputs=[Path(p).name for p in outputs],
+        ingest=trace.metadata if trace is not None else None,
     )
     path = Path(args.out_dir) / f"{args.command}_manifest.json"
     manifest.write(path)
@@ -241,6 +247,7 @@ def cmd_train(args) -> int:
         args,
         inputs=[args.input] + ([args.labels] if args.labels else []),
         outputs=[model_path, history_path, splits_path, labels_path],
+        trace=trace,
     )
     print(
         f"trained {result.epochs_run} epochs; best epoch {result.best_epoch} "
@@ -268,6 +275,7 @@ def cmd_search(args) -> int:
         args,
         inputs=[args.input] + ([args.labels] if args.labels else []),
         outputs=outputs,
+        trace=trace,
     )
     best = results[0]
     print(
@@ -314,7 +322,7 @@ def cmd_calibrate(args) -> int:
         inputs.append(args.splits)
     if args.labels:
         inputs.append(args.labels)
-    _write_manifest(args, inputs=inputs, outputs=[threshold_path])
+    _write_manifest(args, inputs=inputs, outputs=[threshold_path], trace=trace)
     stats = threshold.calibration_stats
     extra = (
         f"; holdout exceedances {stats.holdout_exceedances}"
@@ -349,7 +357,7 @@ def cmd_detect(args) -> int:
     events_path = out / "ae_events.csv"
     write_events(events_path, events)
     inputs = [args.checkpoint, args.input] + ([args.threshold] if args.threshold else [])
-    _write_manifest(args, inputs=inputs, outputs=[events_path])
+    _write_manifest(args, inputs=inputs, outputs=[events_path], trace=trace)
     sys.stdout.write(format_summary(events))
     print(f"{len(events)} events at {events_path}")
     return 0
@@ -368,7 +376,7 @@ def cmd_rba(args) -> int:
     out = _out_dir(args)
     events_path = out / "rba_events.csv"
     write_events(events_path, events)
-    _write_manifest(args, inputs=[args.input], outputs=[events_path])
+    _write_manifest(args, inputs=[args.input], outputs=[events_path], trace=trace)
     sys.stdout.write(format_summary(events))
     print(f"{len(events)} events at {events_path}")
     return 0
@@ -393,7 +401,7 @@ def cmd_corr(args) -> int:
     matrix_path = out / f"correlation_{args.population}.csv"
     write_correlation(matrix_path, matrix)
     inputs = [args.input] + ([args.labels] if args.labels else [])
-    _write_manifest(args, inputs=inputs, outputs=[matrix_path])
+    _write_manifest(args, inputs=inputs, outputs=[matrix_path], trace=trace)
     print(f"{len(sensors)}x{len(sensors)} matrix over {len(days)} days at {matrix_path}")
     return 0
 

@@ -4,17 +4,25 @@ Traces are kept as numpy arrays: one int64 vector of epoch-second
 timestamps (strictly increasing) and one float64 matrix of readings with
 NaN marking missing values. Calendar days are derived from the timestamps
 plus the UTC offset declared in the source file.
+
+`ingest` reads a clean file in blocks of columns and hands anything it
+would have to repair to a row-by-row parser; both give the same arrays.
+`make_windows` returns a `WindowSet`: every window of a sensor as the
+columns of one matrix, ready for the model, with no per-window objects.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import re
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DegenerateStd,
@@ -151,6 +159,37 @@ class Window:
     def __len__(self) -> int:
         return len(self.values)
 
+    @classmethod
+    def _trusted(cls, start_ts: int, values: np.ndarray, normalized: bool) -> "Window":
+        """A window over values already known to be finite, built unchecked."""
+        window = object.__new__(cls)
+        window.start_ts, window.values, window.normalized = start_ts, values, normalized
+        return window
+
+
+@dataclass(eq=False)
+class WindowSet:
+    """Windows of one sensor as one matrix, the way the model consumes them.
+
+    `matrix` is C-contiguous with shape (window_size, n), one window per
+    column; `start_ts[j]` is the epoch second of column j's first reading.
+    Indexing and iteration give `Window`s whose values are column views.
+    """
+
+    matrix: np.ndarray
+    start_ts: np.ndarray
+    normalized: bool = False
+
+    def __len__(self) -> int:
+        return self.matrix.shape[1]
+
+    def __getitem__(self, j: int) -> Window:
+        return Window._trusted(int(self.start_ts[j]), self.matrix[:, j], self.normalized)
+
+    def __iter__(self):
+        for start_ts, values in zip(self.start_ts.tolist(), self.matrix.T):
+            yield Window._trusted(start_ts, values, self.normalized)
+
 
 @dataclass(frozen=True)
 class DayLabel:
@@ -217,6 +256,137 @@ def _parse_timestamp(cell: str) -> tuple[int, int] | None:
     return int(round(dt.timestamp())), offset
 
 
+#: Lines per block of the columnar ingest and write paths. Fixed: it
+#: bounds how many cells exist as Python strings at once. Splitting or
+#: formatting a whole 15-column file at once left tens of thousands of
+#: them resident and raised the process's peak memory.
+_BLOCK_LINES = 1024
+
+#: The one UTC-offset suffix the columnar path accepts, as `datetime`
+#: reads it: sign, hours 00-23, minutes 00-59.
+_OFFSET_SUFFIX = re.compile(r"[+-](?:[01]\d|2[0-3]):[0-5]\d")
+
+#: Byte layout of a stamp's first 19 characters; "0" marks a digit.
+_STAMP_HEAD = np.frombuffer(b"0000-00-00T00:00:00", dtype=np.uint8)
+_HEAD_DIGIT = _STAMP_HEAD == ord("0")
+
+_YEAR_ONE = np.datetime64("0001-01-01T00:00:00", "s")
+
+
+def _parse_rows(fh, delimiter: str, n_cols: int):
+    """Row-by-row parse of the body: the path that repairs.
+
+    Returns (timestamps, values, utc_offset_s, dropped, ragged); the
+    offset is the first parsed row's.
+    """
+    ts_list: list[int] = []
+    rows: list[list[float]] = []
+    offset: int | None = None
+    dropped = ragged = 0
+    for row in csv.reader(fh, delimiter=delimiter):
+        if not row or all(not c.strip() for c in row):
+            continue
+        parsed = _parse_timestamp(row[0])
+        if parsed is None:
+            dropped += 1
+            continue
+        ts, row_offset = parsed
+        if offset is None:
+            offset = row_offset
+        if len(row) - 1 != n_cols:
+            ragged += 1
+        vals = []
+        for j in range(n_cols):
+            cell = row[j + 1].strip() if j + 1 < len(row) else ""
+            try:
+                vals.append(float(cell))
+            except ValueError:
+                vals.append(math.nan)
+        ts_list.append(ts)
+        rows.append(vals)
+    ts = np.asarray(ts_list, dtype=np.int64)
+    vals = (
+        np.asarray(rows, dtype=np.float64).T
+        if rows
+        else np.empty((n_cols, 0), dtype=np.float64)
+    )
+    return ts, vals, offset or 0, dropped, ragged
+
+
+def _parse_block(lines: list[str], delimiter: str, n_cols: int, suffix: str | None):
+    """Columnar parse of one block, or None unless the row parser would
+    read it the same way with nothing to repair.
+
+    Accepted: no quote character, exactly `n_cols + 1` cells per line (a
+    blank line has one), and every stamp 25 ASCII characters of the form
+    `YYYY-MM-DDTHH:MM:SS` plus the one offset `suffix` (the block's own
+    when None). NumPy parses the first 19 characters; it rejects
+    out-of-range fields, and a digit in every digit place with a year
+    >= 1 means each parsed stamp formats back to its own text. That
+    rules out what NumPy reads and `datetime` does not (`+021-...`, year
+    0) and the other way round (a space for the `T`). Returns (suffix,
+    local epoch seconds, values).
+    """
+    if '"' in "".join(lines):
+        return None
+    rows = [line.rstrip("\r\n").split(delimiter) for line in lines]
+    if set(map(len, rows)) != {n_cols + 1}:
+        return None
+    stamps, *cells = zip(*rows)
+    block_suffix = stamps[0][19:]
+    if set(map(len, stamps)) != {25} or block_suffix != (suffix or block_suffix):
+        return None
+    try:
+        raw = "".join(stamps).encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    codes = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 25)
+    head = codes[:, :19]
+    if not (
+        _OFFSET_SUFFIX.fullmatch(block_suffix)
+        and (codes[:, 19:] == codes[0, 19:]).all()
+        and np.where(_HEAD_DIGIT, head - ord("0") < 10, head == _STAMP_HEAD).all()
+    ):
+        return None
+    try:
+        local = np.frombuffer(raw, dtype="S25").astype("S19").astype("datetime64[s]")
+        vals = np.array(
+            [[float(c) if c else math.nan for c in col] for col in cells],
+            dtype=np.float64,
+        )
+    except ValueError:
+        return None
+    if local.min() < _YEAR_ONE:
+        return None
+    return block_suffix, local.astype(np.int64), vals
+
+
+def _parse_blocks(fh, delimiter: str, n_cols: int):
+    """Block-columnar parse of the body, or None as soon as one block needs
+    the row parser: mixed offsets, other stamp forms, unparseable or
+    quoted cells, blank or ragged lines, out-of-order or duplicate rows.
+
+    Returns what `_parse_rows` does, with no rows dropped or ragged.
+    """
+    suffix = None
+    ts_parts: list[np.ndarray] = []
+    val_parts: list[np.ndarray] = []
+    while lines := list(itertools.islice(fh, _BLOCK_LINES)):
+        block = _parse_block(lines, delimiter, n_cols, suffix)
+        if block is None:
+            return None
+        suffix, local, vals = block
+        ts_parts.append(local)
+        val_parts.append(vals)
+    if not ts_parts:
+        return np.empty(0, np.int64), np.empty((n_cols, 0)), 0, 0, 0
+    offset = int(suffix[0] + "1") * (3600 * int(suffix[1:3]) + 60 * int(suffix[4:6]))
+    ts = np.concatenate(ts_parts) - offset
+    if not (np.diff(ts) > 0).all():
+        return None
+    return ts, np.concatenate(val_parts, axis=1), offset, 0, 0
+
+
 def ingest(path, fmt: IngestFormat | None = None, hive_id: str | None = None) -> SensorTrace:
     """Read a delimited sensor file into a trace.
 
@@ -224,65 +394,51 @@ def ingest(path, fmt: IngestFormat | None = None, hive_id: str | None = None) ->
     holds one, comma otherwise, so both layouts `write_trace` produces
     read back.
 
-    Unparseable value cells become missing readings; rows whose timestamp
-    cannot be parsed are dropped and counted. Out-of-order rows are sorted
-    silently while they stay under ``MAX_UNSORTED_FRACTION``; duplicate
-    timestamps collapse to the last occurrence. Counts of all repairs land
-    in ``trace.metadata``.
+    The body is first read in blocks of 1 024 lines, each split into
+    columns: NumPy parses the stamps and `float` each value cell. That
+    path takes only files the row parser would read identically and with
+    nothing to repair: ISO stamps with one shared UTC offset, strictly
+    increasing, every row complete.
+    Any other file is read again from the top by the row parser, which is
+    the only path that repairs: unparseable value cells become missing
+    readings; rows whose timestamp cannot be parsed are dropped and
+    counted; out-of-order rows are sorted silently while they stay under
+    ``MAX_UNSORTED_FRACTION``; duplicate timestamps collapse to the last
+    occurrence. Both paths give the same arrays bit for bit. Counts of all
+    repairs, and which path ran (``parser``: ``"block"`` or ``"row"``),
+    land in ``trace.metadata``. A file that is not UTF-8 raises
+    `FileUnreadable`.
     """
     path = Path(path)
     try:
         fh = path.open("r", newline="", encoding="utf-8")
     except OSError as exc:
         raise FileUnreadable(f"cannot open {path}: {exc}") from exc
-    with fh:
-        first = fh.readline()
-        if fmt is None:
-            fmt = IngestFormat(delimiter="\t" if "\t" in first else ",")
-        try:
-            header = next(csv.reader([first], delimiter=fmt.delimiter))
-        except csv.Error as exc:
-            raise MalformedHeader(f"{path}: empty or unreadable header") from exc
-        reader = csv.reader(fh, delimiter=fmt.delimiter)
-        if not header or header[0].strip().lower() != "timestamp":
-            raise MalformedHeader(f"{path}: first header column must be 'timestamp'")
-        names = [c.strip() for c in header[1:]]
-        if not names or any(not n for n in names):
-            raise MalformedHeader(f"{path}: need at least one named sensor column")
+    try:
+        with fh:
+            first = fh.readline()
+            if fmt is None:
+                fmt = IngestFormat(delimiter="\t" if "\t" in first else ",")
+            try:
+                header = next(csv.reader([first], delimiter=fmt.delimiter))
+            except csv.Error as exc:
+                raise MalformedHeader(f"{path}: empty or unreadable header") from exc
+            if not header or header[0].strip().lower() != "timestamp":
+                raise MalformedHeader(f"{path}: first header column must be 'timestamp'")
+            names = [c.strip() for c in header[1:]]
+            if not names or any(not n for n in names):
+                raise MalformedHeader(f"{path}: need at least one named sensor column")
 
-        n_cols = len(names)
-        ts_list: list[int] = []
-        rows: list[list[float]] = []
-        offset: int | None = None
-        dropped = ragged = 0
-        for row in reader:
-            if not row or all(not c.strip() for c in row):
-                continue
-            parsed = _parse_timestamp(row[0])
+            parser = "block"
+            parsed = _parse_blocks(fh, fmt.delimiter, len(names))
             if parsed is None:
-                dropped += 1
-                continue
-            ts, row_offset = parsed
-            if offset is None:
-                offset = row_offset
-            if len(row) - 1 != n_cols:
-                ragged += 1
-            vals = []
-            for j in range(n_cols):
-                cell = row[j + 1].strip() if j + 1 < len(row) else ""
-                try:
-                    vals.append(float(cell))
-                except ValueError:
-                    vals.append(math.nan)
-            ts_list.append(ts)
-            rows.append(vals)
-
-    ts = np.asarray(ts_list, dtype=np.int64)
-    vals = (
-        np.asarray(rows, dtype=np.float64).T
-        if rows
-        else np.empty((n_cols, 0), dtype=np.float64)
-    )
+                parser = "row"
+                fh.seek(0)
+                fh.readline()
+                parsed = _parse_rows(fh, fmt.delimiter, len(names))
+    except UnicodeDecodeError as exc:
+        raise FileUnreadable(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    ts, vals, offset, dropped, ragged = parsed
 
     out_of_order = int(np.sum(np.diff(ts) < 0)) if len(ts) > 1 else 0
     if len(ts) and out_of_order / len(ts) > MAX_UNSORTED_FRACTION:
@@ -305,9 +461,11 @@ def ingest(path, fmt: IngestFormat | None = None, hive_id: str | None = None) ->
         columns=[SensorColumn(n, _unit_for(n)) for n in names],
         timestamps=ts,
         values=vals,
-        utc_offset_s=offset or 0,
+        utc_offset_s=offset,
         metadata={
             "source": str(path),
+            "parser": parser,
+            "rows": len(ts),
             "out_of_order_rows": out_of_order,
             "duplicate_rows": duplicates,
             "dropped_rows": dropped,
@@ -317,19 +475,23 @@ def ingest(path, fmt: IngestFormat | None = None, hive_id: str | None = None) ->
 
 
 def write_trace(path, trace: SensorTrace, fmt: IngestFormat = IngestFormat()) -> None:
-    """Write a trace in the ingest format (ISO-8601 timestamps, empty = missing)."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    """Write a trace in the ingest format: ISO-8601 UTC timestamps, each
+    reading as `repr` of the float, empty cell = missing.
+
+    Rows are formatted column by column in blocks of 1 024, so only one
+    block's cells exist as strings at a time.
+    """
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, delimiter=fmt.delimiter)
         writer.writerow(["timestamp"] + trace.sensor_names)
-        tz = timezone.utc
-        for i, ts in enumerate(trace.timestamps):
-            stamp = datetime.fromtimestamp(int(ts), tz).isoformat()
-            row = [stamp]
-            for c in range(len(trace.columns)):
-                v = trace.values[c, i]
-                row.append("" if math.isnan(v) else repr(float(v)))
-            writer.writerow(row)
+        for a in range(0, len(trace), _BLOCK_LINES):
+            rows = slice(a, a + _BLOCK_LINES)
+            local = trace.timestamps[rows].astype("datetime64[s]")
+            stamps = [s + "+00:00" for s in np.datetime_as_string(local, unit="s").tolist()]
+            columns = [
+                ["" if v != v else repr(v) for v in col] for col in trace.values[:, rows].tolist()
+            ]
+            writer.writerows(zip(stamps, *columns))
 
 
 # ---------------------------------------------------------------------------
@@ -472,30 +634,23 @@ def fit_normalization(trace: SensorTrace, sensor: str, days: set) -> Normalizati
     return NormalizationParams(mean=float(np.mean(vals)), std=std)
 
 
+def _runs(mask: np.ndarray, linked: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and ends of the maximal [a, b) runs of True in `mask`. With
+    `linked` (length n - 1), readings i and i + 1 share a run only where
+    linked[i] holds."""
+    link = mask[:-1] & mask[1:]
+    if linked is not None:
+        link &= linked
+    starts = np.flatnonzero(mask & np.r_[True, ~link])
+    ends = np.flatnonzero(mask & np.r_[~link, True]) + 1
+    return starts, ends
+
+
 def _contiguous_runs(trace: SensorTrace, eligible: np.ndarray) -> list[tuple[int, int]]:
     """Maximal [a, b) index runs that are eligible and gap-free in time."""
-    n = len(trace)
-    if n == 0 or not eligible.any():
-        return []
-    period = sample_period(trace)
-    breaks = np.zeros(n, dtype=bool)
-    breaks[0] = True
-    if n > 1:
-        steps = np.diff(trace.timestamps)
-        breaks[1:] = steps != period
-    runs = []
-    a = None
-    for i in range(n):
-        if eligible[i] and (a is not None) and not breaks[i]:
-            continue
-        if a is not None:
-            runs.append((a, i))
-            a = None
-        if eligible[i]:
-            a = i
-    if a is not None:
-        runs.append((a, n))
-    return runs
+    steady = np.diff(trace.timestamps) == sample_period(trace)
+    starts, ends = _runs(np.asarray(eligible, dtype=bool), steady)
+    return list(zip(starts.tolist(), ends.tolist()))
 
 
 def make_windows(
@@ -505,60 +660,47 @@ def make_windows(
     window_size: int = 60,
     stride: int = 1,
     params: NormalizationParams | None = None,
-) -> list[Window]:
+) -> WindowSet:
     """All windows of `window_size` consecutive readings within `days`.
 
     Windows never span a missing reading, a timestamp gap, or a day
-    outside `days`; stride 1 yields every possible window. When `params`
-    is given each window is z-score normalized with it.
+    outside `days`; stride 1 yields every possible window, and each run
+    of eligible readings starts its own stride. When `params` is given
+    the column is z-score normalized with it, element by element, before
+    the windows are cut. Each run's windows are a strided view of the
+    column (`sliding_window_view`), copied once into the set's matrix.
     """
     if window_size < 2:
         raise ValueError("window_size must be >= 2")
     if stride < 1:
         raise ValueError("stride must be >= 1")
     col = trace.sensor(sensor)
-    if len(trace) == 0:
-        return []
     wanted = {_day_number(d) for d in days}
     eligible = np.isfinite(col) & np.isin(trace.day_numbers(), sorted(wanted))
+    if params is not None:
+        col = params.normalize(col)
 
-    windows = []
+    views, starts = [], []
     for a, b in _contiguous_runs(trace, eligible):
-        for off in range(a, b - window_size + 1, stride):
-            vals = col[off : off + window_size]
-            if params is not None:
-                vals = params.normalize(vals)
-            else:
-                vals = vals.copy()
-            windows.append(
-                Window(
-                    start_ts=int(trace.timestamps[off]),
-                    values=vals,
-                    normalized=params is not None,
-                )
-            )
-    return windows
+        if b - a >= window_size:
+            views.append(sliding_window_view(col[a:b], window_size)[::stride])
+            starts.append(np.arange(a, b - window_size + 1, stride))
+    matrix = np.empty((window_size, sum(len(v) for v in views)))
+    j = 0
+    for view in views:
+        matrix[:, j : j + len(view)] = view.T
+        j += len(view)
+    offsets = np.concatenate(starts) if starts else np.empty(0, dtype=np.intp)
+    return WindowSet(matrix, trace.timestamps[offsets], normalized=params is not None)
 
 
 def missing_spans(trace: SensorTrace, sensor: str) -> list[tuple[int, int]]:
     """Half-open [start, end) spans of missing readings, for gap reporting."""
     col = trace.sensor(sensor)
-    n = len(trace)
-    if n == 0:
-        return []
     period = sample_period(trace) or 60
-    missing = np.isnan(col)
-    spans = []
-    a = None
-    for i in range(n):
-        if missing[i] and a is None:
-            a = i
-        elif not missing[i] and a is not None:
-            spans.append((int(trace.timestamps[a]), int(trace.timestamps[i - 1]) + period))
-            a = None
-    if a is not None:
-        spans.append((int(trace.timestamps[a]), int(trace.timestamps[n - 1]) + period))
-    return spans
+    starts, ends = _runs(np.isnan(col))
+    ts = trace.timestamps
+    return list(zip(ts[starts].tolist(), (ts[ends - 1] + period).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +728,10 @@ def read_labels(path) -> list[DayLabel]:
             day = date.fromisoformat(parts[0])
         except ValueError as exc:
             raise MalformedHeader(f"{path}:{lineno}: bad date {parts[0]!r}") from exc
-        labels.append(DayLabel(day=day, label=parts[1], source="manual"))
+        try:
+            labels.append(DayLabel(day=day, label=parts[1], source="manual"))
+        except ValueError as exc:
+            raise MalformedHeader(f"{path}:{lineno}: {exc}") from exc
     return labels
 
 

@@ -212,12 +212,7 @@ def score_trace(
         stride=stride,
         params=norm,
     )
-    if windows:
-        start_ts = np.array([w.start_ts for w in windows], dtype=np.int64)
-        errors = window_errors(model, windows)
-    else:
-        start_ts = np.empty(0, dtype=np.int64)
-        errors = np.empty(0)
+    errors = window_errors(model, windows) if windows else np.empty(0)
     gaps = _coalesce(missing_spans(trace, sensor) + _timestamp_gaps(trace, period))
     return TraceScores(
         trace=trace,
@@ -225,7 +220,7 @@ def score_trace(
         window_size=model.window_size,
         stride=stride,
         period_s=period,
-        start_ts=start_ts,
+        start_ts=windows.start_ts,
         errors=errors,
         gaps=gaps,
     )

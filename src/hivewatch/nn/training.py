@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..data import Window
+from ..data import Window, WindowSet
 from ..errors import EmptyDataset
 from .adam import adam_step, init_adam
 from .model import (
@@ -63,9 +63,11 @@ class TrainResult:
 def stack_windows(windows) -> np.ndarray:
     """Windows as a (T, n) matrix, one column per window.
 
-    Accepts a list of windows/sequences or an (n, T) array with one
-    window per row.
+    A `WindowSet` gives its matrix as is, without a copy. Also accepts a
+    list of windows/sequences or an (n, T) array with one window per row.
     """
+    if isinstance(windows, WindowSet):
+        return windows.matrix
     if isinstance(windows, np.ndarray):
         arr = np.asarray(windows, dtype=np.float64)
         return arr.T if arr.ndim == 2 else arr[:, None]

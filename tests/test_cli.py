@@ -355,6 +355,64 @@ class TestRba:
         assert not out.exists()
 
 
+    def test_non_utf8_trace_is_data_error(self, tmp_path, capsys) -> None:
+        trace = tmp_path / "bytes.csv"
+        trace.write_bytes(b"timestamp,temp_core\n0,34.5\n60,\xff\xfe\n")
+        out = tmp_path / "r"
+        assert run("rba", "--input", str(trace), "--out-dir", str(out)) == 3
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: data: FileUnreadable")
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_manifest_reports_ingest(self, tmp_path) -> None:
+        """A clean file is read by the block parser with nothing repaired; a
+        duplicate timestamp sends it through the row parser, which counts it."""
+        rows = [f"2021-06-01T00:{m:02d}:00+00:00,34.5" for m in range(10)]
+        for name, body in (("clean", rows), ("dup", rows[:5] + rows[4:])):
+            trace = tmp_path / f"{name}.csv"
+            trace.write_text("timestamp,temp_core\n" + "\n".join(body) + "\n")
+            out = tmp_path / name
+            assert run("rba", "--input", str(trace), "--out-dir", str(out)) == 0
+            report = json.loads((out / "rba_manifest.json").read_text())["ingest"]
+            assert report["rows"] == 10
+            assert report["parser"] == ("block" if name == "clean" else "row")
+            assert report["duplicate_rows"] == (name == "dup")
+            assert report["dropped_rows"] == report["ragged_rows"] == 0
+            assert report["out_of_order_rows"] == 0
+
+
+class TestUnknownLabel:
+    """A label file naming a class other than normal/anomalous is bad data."""
+
+    @pytest.fixture
+    def weird_labels(self, tmp_path):
+        p = tmp_path / "labels.csv"
+        p.write_text("date,label\n2021-06-01,weird\n", encoding="utf-8")
+        return p
+
+    def check(self, capsys) -> None:
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: data: MalformedHeader")
+        assert "weird" in err[0] and "Traceback" not in captured.out + captured.err
+
+    def test_train(self, pipeline, weird_labels, tmp_path, capsys) -> None:
+        assert run(
+            "train", "--input", str(pipeline / "synth" / "trace.csv"),
+            "--labels", str(weird_labels), "--max-epochs", "1",
+            "--out-dir", str(tmp_path / "t"),
+        ) == 3
+        self.check(capsys)
+
+    def test_corr(self, pipeline, weird_labels, tmp_path, capsys) -> None:
+        assert run(
+            "corr", "--input", str(pipeline / "synth" / "trace.csv"),
+            "--labels", str(weird_labels), "--out-dir", str(tmp_path / "c"),
+        ) == 3
+        self.check(capsys)
+
+
 class TestCorr:
     def test_explicit_day_list(self, pipeline, tmp_path) -> None:
         out = tmp_path / "corr"

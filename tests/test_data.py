@@ -487,7 +487,7 @@ class TestLabelFiles:
     def test_bad_label_rejected(self, tmp_path):
         p = tmp_path / "labels.csv"
         p.write_text("2021-06-01,weird\n", encoding="utf-8")
-        with pytest.raises(ValueError):
+        with pytest.raises(MalformedHeader):
             read_labels(p)
 
 
