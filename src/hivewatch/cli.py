@@ -17,7 +17,6 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -32,7 +31,6 @@ from .analysis import (
 )
 from .data import (
     DayLabel,
-    IngestFormat,
     auto_label_days,
     build_splits,
     fit_normalization,
@@ -62,33 +60,8 @@ from .nn import TrainConfig, init_model, load_model, save_model, train
 from .rba import RbaConfig, rba_detect
 from .search import SearchSpace, random_search, write_search_report
 
-FORMATS = {"csv": IngestFormat(delimiter=","), "tsv": IngestFormat(delimiter="\t")}
-
-
-@dataclass
-class RunManifest:
-    """Everything needed to re-run one command bit-identically."""
-
-    command: str
-    parameters: dict
-    inputs: dict = field(default_factory=dict)  # path -> sha256
-    outputs: list = field(default_factory=list)
-    ingest: dict | None = None  # the trace's ingest metadata, if one was read
-    tool_version: str = __version__
-
-    def write(self, path) -> None:
-        doc = {
-            "command": self.command,
-            "tool_version": self.tool_version,
-            "parameters": self.parameters,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-        }
-        if self.ingest is not None:
-            doc["ingest"] = self.ingest
-        Path(path).write_text(
-            json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+#: `synth --format` names and the delimiter each writes.
+FORMATS = {"csv": ",", "tsv": "\t"}
 
 
 def _sha256(path) -> str:
@@ -110,18 +83,21 @@ def _jsonable(value):
 
 
 def _write_manifest(args, inputs: list, outputs: list, trace=None) -> Path:
-    params = {
-        k: _jsonable(v) for k, v in vars(args).items() if k not in ("func", "command")
+    """Write everything needed to re-run one command bit-identically,
+    plus the trace's ingest report when the command read one."""
+    doc = {
+        "command": args.command,
+        "tool_version": __version__,
+        "parameters": {
+            k: _jsonable(v) for k, v in vars(args).items() if k not in ("func", "command")
+        },
+        "inputs": {str(p): _sha256(p) for p in inputs},
+        "outputs": [Path(p).name for p in outputs],
     }
-    manifest = RunManifest(
-        command=args.command,
-        parameters=params,
-        inputs={str(p): _sha256(p) for p in inputs},
-        outputs=[Path(p).name for p in outputs],
-        ingest=trace.metadata if trace is not None else None,
-    )
+    if trace is not None:
+        doc["ingest"] = trace.metadata
     path = Path(args.out_dir) / f"{args.command}_manifest.json"
-    manifest.write(path)
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     return path
 
 

@@ -1,4 +1,4 @@
-"""Sensor file ingestion, resampling, day labeling, splits, and windowing.
+"""Sensor file ingestion, day labeling, splits, and windowing.
 
 Traces are kept as numpy arrays: one int64 vector of epoch-second
 timestamps (strictly increasing) and one float64 matrix of readings with
@@ -27,7 +27,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import (
     DegenerateStd,
     EmptyDataset,
-    EmptyTrace,
     FileUnreadable,
     MalformedHeader,
     NonMonotonicTimestamps,
@@ -40,11 +39,6 @@ _SECONDS_PER_DAY = 86400
 
 #: Fraction of out-of-order rows tolerated (sorted silently) before ingest fails.
 MAX_UNSORTED_FRACTION = 0.01
-
-
-def day_of(ts: int, utc_offset_s: int = 0) -> date:
-    """Calendar day containing epoch second `ts`, in the declared offset."""
-    return date.fromordinal(_EPOCH_ORDINAL + (int(ts) + utc_offset_s) // _SECONDS_PER_DAY)
 
 
 def _day_numbers(timestamps: np.ndarray, utc_offset_s: int) -> np.ndarray:
@@ -221,14 +215,6 @@ class SplitSet:
 # Ingestion
 
 
-@dataclass(frozen=True)
-class IngestFormat:
-    """Delimited-text layout: header `timestamp,<sensor>...`, ISO-8601 or
-    epoch-second timestamps, empty cell = missing reading."""
-
-    delimiter: str = ","
-
-
 def _unit_for(name: str) -> str:
     return "kg" if "weight" in name.lower() else "°C"
 
@@ -387,12 +373,13 @@ def _parse_blocks(fh, delimiter: str, n_cols: int):
     return ts, np.concatenate(val_parts, axis=1), offset, 0, 0
 
 
-def ingest(path, fmt: IngestFormat | None = None, hive_id: str | None = None) -> SensorTrace:
+def ingest(path, delimiter: str | None = None, hive_id: str | None = None) -> SensorTrace:
     """Read a delimited sensor file into a trace.
 
-    Without `fmt`, the delimiter comes from the header line: tab if it
-    holds one, comma otherwise, so both layouts `write_trace` produces
-    read back.
+    The layout is a header `timestamp,<sensor>...`, ISO-8601 or
+    epoch-second timestamps, and an empty cell for a missing reading.
+    Without `delimiter`, it comes from the header line: tab if that holds
+    one, comma otherwise, so both layouts `write_trace` produces read back.
 
     The body is first read in blocks of 1 024 lines, each split into
     columns: NumPy parses the stamps and `float` each value cell. That
@@ -417,10 +404,10 @@ def ingest(path, fmt: IngestFormat | None = None, hive_id: str | None = None) ->
     try:
         with fh:
             first = fh.readline()
-            if fmt is None:
-                fmt = IngestFormat(delimiter="\t" if "\t" in first else ",")
+            if delimiter is None:
+                delimiter = "\t" if "\t" in first else ","
             try:
-                header = next(csv.reader([first], delimiter=fmt.delimiter))
+                header = next(csv.reader([first], delimiter=delimiter))
             except csv.Error as exc:
                 raise MalformedHeader(f"{path}: empty or unreadable header") from exc
             if not header or header[0].strip().lower() != "timestamp":
@@ -430,12 +417,12 @@ def ingest(path, fmt: IngestFormat | None = None, hive_id: str | None = None) ->
                 raise MalformedHeader(f"{path}: need at least one named sensor column")
 
             parser = "block"
-            parsed = _parse_blocks(fh, fmt.delimiter, len(names))
+            parsed = _parse_blocks(fh, delimiter, len(names))
             if parsed is None:
                 parser = "row"
                 fh.seek(0)
                 fh.readline()
-                parsed = _parse_rows(fh, fmt.delimiter, len(names))
+                parsed = _parse_rows(fh, delimiter, len(names))
     except UnicodeDecodeError as exc:
         raise FileUnreadable(f"{path}: not UTF-8 text ({exc.reason})") from exc
     ts, vals, offset, dropped, ragged = parsed
@@ -474,7 +461,7 @@ def ingest(path, fmt: IngestFormat | None = None, hive_id: str | None = None) ->
     )
 
 
-def write_trace(path, trace: SensorTrace, fmt: IngestFormat = IngestFormat()) -> None:
+def write_trace(path, trace: SensorTrace, delimiter: str = ",") -> None:
     """Write a trace in the ingest format: ISO-8601 UTC timestamps, each
     reading as `repr` of the float, empty cell = missing.
 
@@ -482,7 +469,7 @@ def write_trace(path, trace: SensorTrace, fmt: IngestFormat = IngestFormat()) ->
     block's cells exist as strings at a time.
     """
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=fmt.delimiter)
+        writer = csv.writer(fh, delimiter=delimiter)
         writer.writerow(["timestamp"] + trace.sensor_names)
         for a in range(0, len(trace), _BLOCK_LINES):
             rows = slice(a, a + _BLOCK_LINES)
@@ -492,50 +479,6 @@ def write_trace(path, trace: SensorTrace, fmt: IngestFormat = IngestFormat()) ->
                 ["" if v != v else repr(v) for v in col] for col in trace.values[:, rows].tolist()
             ]
             writer.writerows(zip(stamps, *columns))
-
-
-# ---------------------------------------------------------------------------
-# Resampling
-
-
-def resample(trace: SensorTrace, period_s: int) -> SensorTrace:
-    """Bucket-mean resampling onto a regular grid of `period_s` seconds.
-
-    Each output reading is the mean of the inputs in [t, t + period);
-    empty buckets come out missing. Requires period >= the native
-    sampling period.
-    """
-    if len(trace) == 0:
-        raise EmptyTrace("cannot resample an empty trace")
-    period_s = int(period_s)
-    if period_s <= 0:
-        raise ValueError("period must be positive")
-    native = sample_period(trace)
-    if native and period_s < native:
-        raise ValueError(f"period {period_s}s below native sampling period {native}s")
-
-    first = int(trace.timestamps[0]) // period_s
-    last = int(trace.timestamps[-1]) // period_s
-    n_buckets = last - first + 1
-    bucket = (trace.timestamps // period_s - first).astype(np.intp)
-
-    out = np.full((len(trace.columns), n_buckets), np.nan)
-    for c in range(len(trace.columns)):
-        col = trace.values[c]
-        present = np.isfinite(col)
-        counts = np.bincount(bucket[present], minlength=n_buckets)
-        sums = np.bincount(bucket[present], weights=col[present], minlength=n_buckets)
-        nonzero = counts > 0
-        out[c, nonzero] = sums[nonzero] / counts[nonzero]
-
-    return SensorTrace(
-        hive_id=trace.hive_id,
-        columns=list(trace.columns),
-        timestamps=(np.arange(first, last + 1, dtype=np.int64) * period_s),
-        values=out,
-        utc_offset_s=trace.utc_offset_s,
-        metadata={**trace.metadata, "resample_period_s": period_s},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -757,23 +700,34 @@ def write_splits(path, splits: SplitSet) -> None:
 
 
 def read_splits(path) -> SplitSet:
+    """Read a file `write_splits` wrote. A bad date or key, or training and
+    validation days that overlap, raise `MalformedHeader`; a file that is
+    not UTF-8 raises `FileUnreadable`."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise FileUnreadable(f"cannot open {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FileUnreadable(f"{path}: not UTF-8 text ({exc.reason})") from exc
     fields = {"training": set(), "validation": set(), "holdout": set()}
     test: dict[str, set] = {}
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or "=" not in line:
             continue
         key, _, rest = line.partition("=")
-        days = {date.fromisoformat(p) for p in rest.split(",") if p}
+        try:
+            days = {date.fromisoformat(p) for p in rest.split(",") if p}
+        except ValueError as exc:
+            raise MalformedHeader(f"{path}:{lineno}: bad date in {key!r}: {exc}") from exc
         if key.startswith("test."):
             test[key[len("test."):]] = days
         elif key in fields:
             fields[key] = days
         else:
-            raise MalformedHeader(f"{path}: unknown split key {key!r}")
-    return SplitSet(test=test, **fields)
+            raise MalformedHeader(f"{path}:{lineno}: unknown split key {key!r}")
+    try:
+        return SplitSet(test=test, **fields)
+    except ValueError as exc:
+        raise MalformedHeader(f"{path}: {exc}") from exc

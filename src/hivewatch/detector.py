@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import BROOD_TEMP_C, SensorTrace, make_windows, missing_spans, sample_period
 from .errors import CheckpointError, EmptyValidation, FileUnreadable, MalformedHeader
-from .nn.model import AutoencoderModel, _forward_batch
+from .nn.model import AutoencoderModel, reconstruction_errors
 from .nn.training import stack_windows
 
 #: Multiplier applied on top of the calibration quantile.
@@ -92,20 +92,17 @@ def lower_quantile(values: np.ndarray, q: float) -> float:
     return float(ordered[k - 1])
 
 
-def window_errors(model: AutoencoderModel, windows, batch_size: int = 512) -> np.ndarray:
-    """Per-window reconstruction error (mean squared, normalized space).
+def window_errors(model: AutoencoderModel, windows) -> np.ndarray:
+    """Per-window reconstruction error (mean squared, normalized space),
+    from `nn.model.reconstruction_errors`, the path validation also uses.
 
     Raises CheckpointError when an error is not finite: a NaN compares
     false against every threshold, so a diverged model would otherwise
     report no events.
     """
     X = stack_windows(windows)
-    out = np.empty(X.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, X.shape[1], batch_size):
-            chunk = X[:, start : start + batch_size]
-            Y = _forward_batch(model, chunk).Y
-            out[start : start + chunk.shape[1]] = np.mean((Y - chunk) ** 2, axis=0)
+        out = reconstruction_errors(model, X)
     bad = np.count_nonzero(~np.isfinite(out))
     if bad:
         raise CheckpointError(
@@ -212,7 +209,7 @@ def score_trace(
         stride=stride,
         params=norm,
     )
-    errors = window_errors(model, windows) if windows else np.empty(0)
+    errors = window_errors(model, windows)
     gaps = _coalesce(missing_spans(trace, sensor) + _timestamp_gaps(trace, period))
     return TraceScores(
         trace=trace,

@@ -21,6 +21,10 @@ from .lstm import LSTMCache, LSTMLayerParams, init_layer, lstm_backward, lstm_fo
 HIDDEN_SIZE_RANGE = (2, 64)
 NUM_LAYERS_RANGE = (1, 4)
 
+#: Windows per forward chunk in `reconstruction_errors`. Each window is
+#: its own column, so the width bounds memory and changes no error.
+SCORE_BATCH = 512
+
 
 @dataclass
 class AutoencoderModel:
@@ -185,6 +189,19 @@ def forward(model: AutoencoderModel, x) -> np.ndarray:
             f"window length {vals.shape} does not match model window_size {model.window_size}"
         )
     return _forward_batch(model, vals[:, None]).Y[:, 0]
+
+
+def reconstruction_errors(model: AutoencoderModel, X: np.ndarray) -> np.ndarray:
+    """Mean squared reconstruction error of each column of a (T, n) matrix
+    of normalized windows: the one scoring path for detection, calibration
+    and validation. Runs the cache-free forward `SCORE_BATCH` windows at a
+    time."""
+    out = np.empty(X.shape[1])
+    for start in range(0, X.shape[1], SCORE_BATCH):
+        chunk = X[:, start : start + SCORE_BATCH]
+        Y = _forward_batch(model, chunk).Y
+        out[start : start + chunk.shape[1]] = np.mean((Y - chunk) ** 2, axis=0)
+    return out
 
 
 def reconstruction_loss(x, x_bar) -> float:

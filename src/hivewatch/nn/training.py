@@ -14,8 +14,8 @@ from .model import (
     clone_model,
     loss_and_gradients,
     model_parameters,
+    reconstruction_errors,
     set_model_parameters,
-    _forward_batch,
 )
 
 
@@ -77,19 +77,16 @@ def stack_windows(windows) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def _mean_loss(model: AutoencoderModel, X: np.ndarray, batch_size: int) -> float:
-    """Mean reconstruction loss over a pre-stacked (T, n) matrix."""
-    total = 0.0
-    for start in range(0, X.shape[1], batch_size):
-        chunk = X[:, start : start + batch_size]
-        Y = _forward_batch(model, chunk).Y
-        total += float(np.sum((Y - chunk) ** 2))
-    return total / X.size
+def _mean_loss(model: AutoencoderModel, X: np.ndarray) -> float:
+    """Mean of the per-window reconstruction errors of a (T, n) matrix."""
+    return float(np.mean(reconstruction_errors(model, X)))
 
 
-def evaluate(model: AutoencoderModel, windows, batch_size: int = 256) -> float:
-    """Mean per-window reconstruction loss (no gradients)."""
-    return _mean_loss(model, stack_windows(windows), batch_size)
+def evaluate(model: AutoencoderModel, windows) -> float:
+    """Mean per-window reconstruction error (no gradients): the validation
+    loss `train` stops early on, and exactly the mean of
+    `detector.window_errors` over the same windows."""
+    return _mean_loss(model, stack_windows(windows))
 
 
 def train(
@@ -138,7 +135,7 @@ def train(
             running += loss * len(idx)
         train_loss = running / n
 
-        val_loss = _mean_loss(work, Xval, batch_size=max(256, config.batch_size))
+        val_loss = _mean_loss(work, Xval)
         history.append(EpochStats(epoch=epoch, train_loss=train_loss, val_loss=val_loss))
 
         if val_loss < best_val:

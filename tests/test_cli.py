@@ -199,6 +199,34 @@ class TestCalibrate:
         assert capsys.readouterr().err.startswith("error: data: CheckpointError")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "body, error",
+        [
+            (b"training=2021-06-01\nvalidation=2021-13-01\n",
+             "MalformedHeader: {path}:2: bad date"),
+            (b"training=2021-06-01,2021-06-02\nvalidation=2021-06-02\n",
+             "MalformedHeader: {path}: training and validation days overlap"),
+            (b"training=2021-06-01\nvalidation=\xff\xfe\n",
+             "FileUnreadable: {path}: not UTF-8 text"),
+        ],
+        ids=["bad-date", "overlap", "not-utf8"],
+    )
+    def test_bad_split_file_is_data_error(self, pipeline, tmp_path, capsys, body, error):
+        splits = tmp_path / "splits.txt"
+        splits.write_bytes(body)
+        out = tmp_path / "cal"
+        assert run(
+            "calibrate", "--checkpoint", str(pipeline / "train" / "model.bin"),
+            "--input", str(pipeline / "synth" / "trace.csv"),
+            "--splits", str(splits), "--out-dir", str(out),
+        ) == 3
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: data: " + error.format(path=splits))
+        assert "Traceback" not in captured.out + captured.err
+        assert not out.exists()
+
 
 class TestDetect:
     def test_events_written_and_summarized(self, pipeline, tmp_path, capsys) -> None:

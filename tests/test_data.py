@@ -1,4 +1,4 @@
-"""Tests for ingestion, resampling, labeling, splits, and windowing."""
+"""Tests for ingestion, labeling, splits, and windowing."""
 
 from __future__ import annotations
 
@@ -11,21 +11,18 @@ from hypothesis import strategies as st
 
 from hivewatch.data import (
     DayLabel,
-    IngestFormat,
     NormalizationParams,
     SensorColumn,
     SensorTrace,
     Window,
     auto_label_days,
     build_splits,
-    day_of,
     fit_normalization,
     ingest,
     make_windows,
     missing_spans,
     read_labels,
     read_splits,
-    resample,
     sample_period,
     write_labels,
     write_splits,
@@ -86,10 +83,16 @@ class TestSensorTrace:
             values=np.zeros((1, 2)),
         )
         assert trace.days() == [date(1970, 1, 1), date(1970, 1, 2)]
-        assert day_of(86400 - 30) == date(1970, 1, 1)
-        # A positive UTC offset shifts the boundary: 23:59:30 UTC is already
-        # the next day half a degree east of Greenwich.
-        assert day_of(86400 - 30, utc_offset_s=3600) == date(1970, 1, 2)
+        # A positive UTC offset shifts the boundary: one hour east of UTC,
+        # 22:59:30 UTC is still the first day and 23:59:30 UTC the next.
+        east = SensorTrace(
+            hive_id="h",
+            columns=[SensorColumn("a", "°C")],
+            timestamps=np.array([86400 - 3600 - 30, 86400 - 30]),
+            values=np.zeros((1, 2)),
+            utc_offset_s=3600,
+        )
+        assert east.days() == [date(1970, 1, 1), date(1970, 1, 2)]
 
     def test_sample_period(self):
         assert sample_period(minute_trace([1, 2, 3])) == 60
@@ -180,56 +183,8 @@ class TestIngest:
 
     def test_semicolon_delimiter(self, tmp_path):
         p = self.write(tmp_path, "timestamp;t\n0;1.5\n60;2.5\n")
-        trace = ingest(p, fmt=IngestFormat(delimiter=";"))
+        trace = ingest(p, delimiter=";")
         np.testing.assert_allclose(trace.sensor("t"), [1.5, 2.5])
-
-
-class TestResample:
-    def test_bucket_means(self):
-        """Hand-checked: readings in the same minute average together."""
-        trace = SensorTrace(
-            hive_id="h",
-            columns=[SensorColumn("t", "°C")],
-            timestamps=np.array([0, 1, 2, 60, 61, 125]),
-            values=np.array([[1.0, 2.0, 3.0, 10.0, 20.0, 7.0]]),
-        )
-        out = resample(trace, 60)
-        np.testing.assert_array_equal(out.timestamps, [0, 60, 120])
-        np.testing.assert_allclose(out.sensor("t"), [2.0, 15.0, 7.0])
-
-    def test_empty_buckets_are_missing(self):
-        trace = SensorTrace(
-            hive_id="h",
-            columns=[SensorColumn("t", "°C")],
-            timestamps=np.array([0, 60, 240, 300]),
-            values=np.array([[1.0, 2.0, 8.0, 4.0]]),
-        )
-        out = resample(trace, 60)
-        np.testing.assert_array_equal(out.timestamps, [0, 60, 120, 180, 240, 300])
-        got = out.sensor("t")
-        np.testing.assert_allclose(got[[0, 1, 4, 5]], [1.0, 2.0, 8.0, 4.0])
-        assert np.isnan(got[2]) and np.isnan(got[3])
-
-    def test_nan_inputs_ignored_in_means(self):
-        trace = SensorTrace(
-            hive_id="h",
-            columns=[SensorColumn("t", "°C")],
-            timestamps=np.array([0, 30, 60]),
-            values=np.array([[1.0, np.nan, 5.0]]),
-        )
-        out = resample(trace, 60)
-        np.testing.assert_allclose(out.sensor("t"), [1.0, 5.0])
-
-    def test_idempotent_on_regular_grid(self):
-        rng = np.random.default_rng(7)
-        trace = minute_trace(rng.normal(size=200))
-        out = resample(trace, 60)
-        np.testing.assert_array_equal(out.timestamps, trace.timestamps)
-        np.testing.assert_allclose(out.sensor("temp_core"), trace.sensor("temp_core"))
-
-    def test_upsampling_rejected(self):
-        with pytest.raises(ValueError, match="native"):
-            resample(minute_trace([1.0, 2.0]), 30)
 
 
 class TestAutoLabel:

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from hivewatch import data
 from hivewatch.data import (
-    IngestFormat,
     NormalizationParams,
     SensorColumn,
     SensorTrace,
@@ -229,7 +228,7 @@ def _golden_trace() -> SensorTrace:
 @pytest.mark.parametrize("delimiter", [",", "\t"])
 def test_write_trace_golden_bytes(tmp_path, delimiter) -> None:
     p = tmp_path / "out"
-    write_trace(p, _golden_trace(), IngestFormat(delimiter=delimiter))
+    write_trace(p, _golden_trace(), delimiter)
     d = delimiter
     assert p.read_bytes() == (
         f"timestamp{d}temp_core{d}weight\r\n"
@@ -237,7 +236,7 @@ def test_write_trace_golden_bytes(tmp_path, delimiter) -> None:
         f"2021-06-01T00:01:00+00:00{d}{d}50.0\r\n"
         f"2021-06-02T00:00:59+00:00{d}-1.25{d}0.1\r\n"
     ).encode("utf-8")
-    back = ingest(p, fmt=IngestFormat(delimiter=delimiter))
+    back = ingest(p, delimiter=delimiter)
     assert back.metadata["parser"] == "block"
     np.testing.assert_array_equal(back.timestamps, _golden_trace().timestamps)
     np.testing.assert_array_equal(back.values, _golden_trace().values)

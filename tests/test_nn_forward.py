@@ -19,7 +19,7 @@ from hivewatch.nn import (
     reconstruction_loss,
     set_model_parameters,
 )
-from hivewatch.nn.model import _forward_batch
+from hivewatch.nn.model import SCORE_BATCH, _forward_batch, reconstruction_errors
 
 # Reconstruction of np.linspace(-1, 1, 60) by the seed-7 (hs=4, n=1, w=60)
 # model, recorded once from the verified implementation and locked.
@@ -167,6 +167,24 @@ class TestForwardOnly:
         np.testing.assert_array_equal(H, np.tanh(g).transpose(0, 2, 1))
         np.testing.assert_array_equal(H_plain, H)
         np.testing.assert_array_equal(c_plain, c)
+
+
+class TestReconstructionErrors:
+    @pytest.mark.parametrize("n", [1, SCORE_BATCH - 1, SCORE_BATCH, SCORE_BATCH + 1, 1100])
+    def test_matches_per_window_forward(self, n):
+        """Each column's error equals the one-window forward's across chunk
+        edges. A width-1 batch rounds differently in the last bit, so the
+        comparison is at rtol 1e-12, not bit for bit."""
+        model = init_model(4, 1, 6, seed=n)
+        X = np.random.default_rng(n).normal(size=(6, n))
+        want = [np.mean((forward(model, X[:, j]) - X[:, j]) ** 2) for j in range(n)]
+        got = reconstruction_errors(model, X)
+        assert got.shape == (n,)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_no_windows_give_empty_result(self):
+        got = reconstruction_errors(init_model(4, 1, 6, seed=0), np.empty((6, 0)))
+        assert got.shape == (0,)
 
 
 def unfused_lstm(layer, X, h0, c0):

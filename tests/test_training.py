@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from hivewatch.detector import window_errors
 from hivewatch.errors import EmptyDataset
 from hivewatch.nn import (
     TrainConfig,
@@ -86,6 +87,14 @@ class TestTrain:
         assert result.best_val_loss == best_in_history
         assert result.history[result.best_epoch - 1].val_loss == best_in_history
         assert evaluate(result.model, vw) == pytest.approx(best_in_history, rel=1e-12)
+
+    def test_evaluate_is_mean_of_window_errors(self):
+        """Validation and scoring share one path: the validation loss is
+        exactly the mean of the errors `detect` would score."""
+        rng = np.random.default_rng(8)
+        model = init_model(4, 1, 16, seed=3)
+        ws = level_windows(rng, 700)
+        assert evaluate(model, ws) == float(np.mean(window_errors(model, ws)))
 
     def test_input_model_untouched(self):
         model = init_model(4, 1, 16, seed=5)
