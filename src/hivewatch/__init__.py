@@ -16,7 +16,6 @@ from .data import (
     SensorColumn,
     SensorTrace,
     SplitSet,
-    Window,
     WindowSet,
     auto_label_days,
     build_splits,
@@ -80,7 +79,6 @@ __all__ = [
     "TrainResult",
     "TrialResult",
     "UsageError",
-    "Window",
     "WindowSet",
     "__version__",
     "auto_label_days",

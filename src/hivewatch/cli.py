@@ -185,7 +185,7 @@ def _prepare_training_windows(args, trace):
     val_w = make_windows(
         trace, args.sensor, splits.validation, args.window_size, args.stride, norm
     )
-    return labels, splits, norm, train_w, val_w
+    return labels, splits, norm, train_w.matrix, val_w.matrix
 
 
 def _train_config(args) -> TrainConfig:
@@ -288,7 +288,7 @@ def cmd_calibrate(args) -> int:
         trace, args.sensor, splits.holdout, model.window_size, args.stride, model.norm
     )
     threshold = calibrate(
-        model, val_w, holdout_windows=holdout_w or None, quantile=args.quantile
+        model, val_w.matrix, holdout_windows=holdout_w.matrix, quantile=args.quantile
     )
     threshold_path = _out_dir(args) / "threshold.json"
     write_threshold(threshold_path, threshold)

@@ -135,54 +135,20 @@ class NormalizationParams:
         return np.asarray(v, dtype=np.float64) * self.std + self.mean
 
 
-@dataclass
-class Window:
-    """Fixed-length gap-free subsequence, the autoencoder's input unit."""
-
-    start_ts: int
-    values: np.ndarray
-    normalized: bool = False
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 1 or len(self.values) < 2:
-            raise ValueError("window needs a 1-d value sequence of length >= 2")
-        if not np.isfinite(self.values).all():
-            raise ValueError("window must not contain missing values")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @classmethod
-    def _trusted(cls, start_ts: int, values: np.ndarray, normalized: bool) -> "Window":
-        """A window over values already known to be finite, built unchecked."""
-        window = object.__new__(cls)
-        window.start_ts, window.values, window.normalized = start_ts, values, normalized
-        return window
-
-
 @dataclass(eq=False)
 class WindowSet:
     """Windows of one sensor as one matrix, the way the model consumes them.
 
-    `matrix` is C-contiguous with shape (window_size, n), one window per
-    column; `start_ts[j]` is the epoch second of column j's first reading.
-    Indexing and iteration give `Window`s whose values are column views.
+    `matrix` is C-contiguous float64 with shape (window_size, n), one
+    window per column; `start_ts[j]` is the epoch second of column j's
+    first reading.
     """
 
     matrix: np.ndarray
     start_ts: np.ndarray
-    normalized: bool = False
 
     def __len__(self) -> int:
         return self.matrix.shape[1]
-
-    def __getitem__(self, j: int) -> Window:
-        return Window._trusted(int(self.start_ts[j]), self.matrix[:, j], self.normalized)
-
-    def __iter__(self):
-        for start_ts, values in zip(self.start_ts.tolist(), self.matrix.T):
-            yield Window._trusted(start_ts, values, self.normalized)
 
 
 @dataclass(frozen=True)
@@ -609,9 +575,9 @@ def make_windows(
     Windows never span a missing reading, a timestamp gap, or a day
     outside `days`; stride 1 yields every possible window, and each run
     of eligible readings starts its own stride. When `params` is given
-    the column is z-score normalized with it, element by element, before
-    the windows are cut. Each run's windows are a strided view of the
-    column (`sliding_window_view`), copied once into the set's matrix.
+    the column is z-scored with it, element by element, before the
+    windows are cut. Each run's windows are a strided view of the column
+    (`sliding_window_view`), copied once into the set's matrix.
     """
     if window_size < 2:
         raise ValueError("window_size must be >= 2")
@@ -634,7 +600,7 @@ def make_windows(
         matrix[:, j : j + len(view)] = view.T
         j += len(view)
     offsets = np.concatenate(starts) if starts else np.empty(0, dtype=np.intp)
-    return WindowSet(matrix, trace.timestamps[offsets], normalized=params is not None)
+    return WindowSet(matrix, trace.timestamps[offsets])
 
 
 def missing_spans(trace: SensorTrace, sensor: str) -> list[tuple[int, int]]:
@@ -650,13 +616,22 @@ def missing_spans(trace: SensorTrace, sensor: str) -> list[tuple[int, int]]:
 # Label and split files
 
 
+def _read_text(path: Path) -> str:
+    """The whole of a small side file (labels, splits, events, threshold)
+    as UTF-8 text; a file that cannot be opened or is not UTF-8 raises
+    `FileUnreadable`."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise FileUnreadable(f"cannot open {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FileUnreadable(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
 def read_labels(path) -> list[DayLabel]:
     """Read a `date,label` file (YYYY-MM-DD, normal|anomalous), header optional."""
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise FileUnreadable(f"cannot open {path}: {exc}") from exc
+    text = _read_text(path)
     labels = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -701,15 +676,9 @@ def write_splits(path, splits: SplitSet) -> None:
 
 def read_splits(path) -> SplitSet:
     """Read a file `write_splits` wrote. A bad date or key, or training and
-    validation days that overlap, raise `MalformedHeader`; a file that is
-    not UTF-8 raises `FileUnreadable`."""
+    validation days that overlap, raise `MalformedHeader`."""
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise FileUnreadable(f"cannot open {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise FileUnreadable(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    text = _read_text(path)
     fields = {"training": set(), "validation": set(), "holdout": set()}
     test: dict[str, set] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):

@@ -16,10 +16,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import BROOD_TEMP_C, SensorTrace, make_windows, missing_spans, sample_period
-from .errors import CheckpointError, EmptyValidation, FileUnreadable, MalformedHeader
+from .data import (
+    BROOD_TEMP_C,
+    SensorTrace,
+    _read_text,
+    make_windows,
+    missing_spans,
+    sample_period,
+)
+from .errors import CheckpointError, EmptyValidation, MalformedHeader
 from .nn.model import AutoencoderModel, reconstruction_errors
-from .nn.training import stack_windows
 
 #: Multiplier applied on top of the calibration quantile.
 SAFETY_MARGIN = 1.05
@@ -47,18 +53,24 @@ class CalibrationStats:
     quantile_used: float
     holdout_exceedances: int | None = None
 
+    def __post_init__(self) -> None:
+        if not 0 <= self.max_val_error < math.inf:
+            raise ValueError(f"max_val_error must be finite, got {self.max_val_error!r}")
+        if not 0 < self.quantile_used <= 1:
+            raise ValueError(f"quantile_used must be in (0, 1], got {self.quantile_used!r}")
+
 
 @dataclass(frozen=True)
 class Threshold:
-    """Anomaly threshold in reconstruction-error units (normalized space)."""
+    """Anomaly threshold in reconstruction-error units (z-scored space)."""
 
     alpha: float
     method: str = "manual"  # "manual" | "quantile" | "max_validation"
     calibration_stats: CalibrationStats | None = None
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
         if self.method not in ("manual", "quantile", "max_validation"):
             raise ValueError(f"unknown threshold method {self.method!r}")
 
@@ -92,15 +104,15 @@ def lower_quantile(values: np.ndarray, q: float) -> float:
     return float(ordered[k - 1])
 
 
-def window_errors(model: AutoencoderModel, windows) -> np.ndarray:
-    """Per-window reconstruction error (mean squared, normalized space),
-    from `nn.model.reconstruction_errors`, the path validation also uses.
+def window_errors(model: AutoencoderModel, X: np.ndarray) -> np.ndarray:
+    """Reconstruction error (mean squared, z-scored space) of each column
+    of a (T, n) window matrix, from `nn.model.reconstruction_errors`, the
+    path validation also uses.
 
     Raises CheckpointError when an error is not finite: a NaN compares
     false against every threshold, so a diverged model would otherwise
     report no events.
     """
-    X = stack_windows(windows)
     with np.errstate(over="ignore", invalid="ignore"):
         out = reconstruction_errors(model, X)
     bad = np.count_nonzero(~np.isfinite(out))
@@ -114,17 +126,18 @@ def window_errors(model: AutoencoderModel, windows) -> np.ndarray:
 
 def calibrate(
     model: AutoencoderModel,
-    validation_windows,
-    holdout_windows=None,
+    validation_windows: np.ndarray,
+    holdout_windows: np.ndarray | None = None,
     quantile: float = 1.0,
 ) -> Threshold:
-    """Set alpha from normal validation windows.
+    """Set alpha from normal validation windows, a (T, n) matrix.
 
     alpha = (`quantile`-quantile of validation errors) * 1.05. Holdout
-    windows, when given, are only counted against the result — exceedances
-    are reported for the operator, never auto-applied.
+    windows, when given and not empty, are only counted against the
+    result — exceedances are reported for the operator, never
+    auto-applied.
     """
-    if validation_windows is None or len(validation_windows) == 0:
+    if validation_windows.shape[1] == 0:
         raise EmptyValidation("cannot calibrate without validation windows")
     errors = window_errors(model, validation_windows)
     base = lower_quantile(errors, quantile)
@@ -134,7 +147,7 @@ def calibrate(
             "validation reconstruction errors are all zero; threshold undefined"
         )
     exceedances = None
-    if holdout_windows is not None and len(holdout_windows) > 0:
+    if holdout_windows is not None and holdout_windows.shape[1] > 0:
         exceedances = int(np.sum(window_errors(model, holdout_windows) >= alpha))
     return Threshold(
         alpha=alpha,
@@ -209,7 +222,7 @@ def score_trace(
         stride=stride,
         params=norm,
     )
-    errors = window_errors(model, windows)
+    errors = window_errors(model, windows.matrix)
     gaps = _coalesce(missing_spans(trace, sensor) + _timestamp_gaps(trace, period))
     return TraceScores(
         trace=trace,
@@ -310,8 +323,20 @@ def _iso(ts: int) -> str:
     return datetime.fromtimestamp(int(ts), timezone.utc).isoformat()
 
 
+#: Epoch seconds of the first and last instants `_iso` can write.
+_ISO_RANGE = (
+    int(datetime(1, 1, 1, tzinfo=timezone.utc).timestamp()),
+    int(datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc).timestamp()),
+)
+
+
 def _from_iso(s: str) -> int:
-    return int(datetime.fromisoformat(s).timestamp())
+    """Epoch seconds of an ISO-8601 stamp; ValueError unless `_iso` can
+    write the instant back (years 1 to 9999 in UTC)."""
+    ts = int(datetime.fromisoformat(s).timestamp())
+    if not _ISO_RANGE[0] <= ts <= _ISO_RANGE[1]:
+        raise ValueError(f"stamp {s!r} falls outside years 1-9999 in UTC")
+    return ts
 
 
 def write_events(path, events: list[DetectionEvent]) -> None:
@@ -327,10 +352,7 @@ def write_events(path, events: list[DetectionEvent]) -> None:
 
 def read_events(path) -> list[DetectionEvent]:
     path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise FileUnreadable(f"cannot open {path}: {exc}") from exc
+    lines = _read_text(path).splitlines()
     if not lines or lines[0].strip() != "start,end,peak,peak_score,method,class_hint":
         raise MalformedHeader(f"{path}: not an event table")
     events = []
@@ -378,9 +400,7 @@ def write_threshold(path, threshold: Threshold) -> None:
 def read_threshold(path) -> Threshold:
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise FileUnreadable(f"cannot open {path}: {exc}") from exc
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise MalformedHeader(f"{path}: not a threshold file: {exc}") from exc
     try:
@@ -398,7 +418,7 @@ def read_threshold(path) -> Threshold:
                 else int(stats["holdout_exceedances"]),
             ),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedHeader(f"{path}: not a threshold file: {exc}") from exc
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..data import NormalizationParams, Window
+from ..data import NormalizationParams
 from ..errors import InvalidHyperparameter, LengthMismatch
 from .lstm import LSTMCache, LSTMLayerParams, init_layer, lstm_backward, lstm_forward
 
@@ -137,11 +137,6 @@ def clone_model(model: AutoencoderModel) -> AutoencoderModel:
     )
 
 
-def _as_values(x) -> np.ndarray:
-    vals = x.values if isinstance(x, Window) else x
-    return np.asarray(vals, dtype=np.float64)
-
-
 @dataclass
 class _ForwardCache:
     encoder: list[LSTMCache | None]
@@ -153,7 +148,7 @@ class _ForwardCache:
 def _forward_batch(
     model: AutoencoderModel, X: np.ndarray, keep_cache: bool = False
 ) -> _ForwardCache:
-    """Forward pass over a (T, B) batch of normalized windows.
+    """Forward pass over a (T, B) batch of z-scored windows.
 
     The per-layer backward caches are built only with `keep_cache`;
     scoring and validation never need them.
@@ -181,21 +176,31 @@ def _forward_batch(
     return _ForwardCache(encoder=enc_caches, decoder=dec_caches, top=dec_seq, Y=Y)
 
 
-def forward(model: AutoencoderModel, x) -> np.ndarray:
-    """Reconstruction of one normalized window (same length, forward order)."""
-    vals = _as_values(x)
-    if vals.ndim != 1 or len(vals) != model.window_size:
+def _one_window(model: AutoencoderModel, x: np.ndarray) -> np.ndarray:
+    """A 1-d window of the model's length as a (T, 1) batch."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1 or len(x) != model.window_size:
         raise LengthMismatch(
-            f"window length {vals.shape} does not match model window_size {model.window_size}"
+            f"window length {x.shape} does not match model window_size {model.window_size}"
         )
-    return _forward_batch(model, vals[:, None]).Y[:, 0]
+    return x[:, None]
+
+
+def forward(model: AutoencoderModel, x: np.ndarray) -> np.ndarray:
+    """Reconstruction of one z-scored window (same length, forward order)."""
+    return _forward_batch(model, _one_window(model, x)).Y[:, 0]
 
 
 def reconstruction_errors(model: AutoencoderModel, X: np.ndarray) -> np.ndarray:
     """Mean squared reconstruction error of each column of a (T, n) matrix
-    of normalized windows: the one scoring path for detection, calibration
+    of z-scored windows: the one scoring path for detection, calibration
     and validation. Runs the cache-free forward `SCORE_BATCH` windows at a
-    time."""
+    time. A matrix whose T is not the model's window size, such as an
+    (n, T) one, raises `LengthMismatch`."""
+    if X.ndim != 2 or X.shape[0] != model.window_size:
+        raise LengthMismatch(
+            f"window matrix {X.shape} needs {model.window_size} rows, one window per column"
+        )
     out = np.empty(X.shape[1])
     for start in range(0, X.shape[1], SCORE_BATCH):
         chunk = X[:, start : start + SCORE_BATCH]
@@ -204,9 +209,9 @@ def reconstruction_errors(model: AutoencoderModel, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def reconstruction_loss(x, x_bar) -> float:
+def reconstruction_loss(x: np.ndarray, x_bar: np.ndarray) -> float:
     """Mean squared error between a window and its reconstruction."""
-    a, b = _as_values(x), _as_values(x_bar)
+    a, b = np.asarray(x, dtype=np.float64), np.asarray(x_bar, dtype=np.float64)
     if a.shape != b.shape:
         raise LengthMismatch(f"lengths differ: {a.shape} vs {b.shape}")
     return float(np.mean((a - b) ** 2))
@@ -259,12 +264,7 @@ def loss_and_gradients(model: AutoencoderModel, X: np.ndarray) -> tuple[float, d
     return _backward_batch(model, X, cache)
 
 
-def backward(model: AutoencoderModel, x) -> dict[str, np.ndarray]:
+def backward(model: AutoencoderModel, x: np.ndarray) -> dict[str, np.ndarray]:
     """Gradient of `reconstruction_loss(x, forward(model, x))` per parameter."""
-    vals = _as_values(x)
-    if vals.ndim != 1 or len(vals) != model.window_size:
-        raise LengthMismatch(
-            f"window length {vals.shape} does not match model window_size {model.window_size}"
-        )
-    _, grads = loss_and_gradients(model, vals[:, None])
+    _, grads = loss_and_gradients(model, _one_window(model, x))
     return grads

@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..data import Window, WindowSet
 from ..errors import EmptyDataset
 from .adam import adam_step, init_adam
 from .model import (
@@ -60,49 +59,31 @@ class TrainResult:
         return len(self.history)
 
 
-def stack_windows(windows) -> np.ndarray:
-    """Windows as a (T, n) matrix, one column per window.
-
-    A `WindowSet` gives its matrix as is, without a copy. Also accepts a
-    list of windows/sequences or an (n, T) array with one window per row.
-    """
-    if isinstance(windows, WindowSet):
-        return windows.matrix
-    if isinstance(windows, np.ndarray):
-        arr = np.asarray(windows, dtype=np.float64)
-        return arr.T if arr.ndim == 2 else arr[:, None]
-    cols = [w.values if isinstance(w, Window) else np.asarray(w, float) for w in windows]
-    if not cols:
-        return np.empty((0, 0))
-    return np.stack(cols, axis=1)
-
-
 def _mean_loss(model: AutoencoderModel, X: np.ndarray) -> float:
     """Mean of the per-window reconstruction errors of a (T, n) matrix."""
     return float(np.mean(reconstruction_errors(model, X)))
 
 
-def evaluate(model: AutoencoderModel, windows) -> float:
-    """Mean per-window reconstruction error (no gradients): the validation
-    loss `train` stops early on, and exactly the mean of
-    `detector.window_errors` over the same windows."""
-    return _mean_loss(model, stack_windows(windows))
+def evaluate(model: AutoencoderModel, X: np.ndarray) -> float:
+    """Mean reconstruction error over the columns of a (T, n) window matrix
+    (no gradients): the validation loss `train` stops early on, and
+    exactly the mean of `detector.window_errors` over the same matrix."""
+    return _mean_loss(model, X)
 
 
 def train(
     model: AutoencoderModel,
-    train_windows,
-    val_windows,
+    Xtr: np.ndarray,
+    Xval: np.ndarray,
     config: TrainConfig = TrainConfig(),
 ) -> TrainResult:
     """Adam on shuffled minibatches until validation loss stops improving.
 
-    The input model is left untouched; the returned model carries the
-    weights of the best validation epoch. Identical (model, data, config)
-    reproduce identical weights bit for bit.
+    `Xtr` and `Xval` are (T, n) window matrices, one window per column
+    (`WindowSet.matrix`). The input model is left untouched; the returned
+    model carries the weights of the best validation epoch. Identical
+    (model, data, config) reproduce identical weights bit for bit.
     """
-    Xtr = stack_windows(train_windows)
-    Xval = stack_windows(val_windows)
     if Xtr.shape[1] == 0:
         raise EmptyDataset("no training windows")
     if Xval.shape[1] == 0:

@@ -63,14 +63,16 @@ class TrialResult:
 
 def random_search(
     space: SearchSpace,
-    train_windows,
-    val_windows,
+    Xtr: np.ndarray,
+    Xval: np.ndarray,
     config: TrainConfig = TrainConfig(),
     out_dir=None,
 ) -> list[TrialResult]:
     """Train one model per sampled grid cell; results sorted by loss.
 
-    A budget above the grid size degrades to visiting the full grid.
+    `Xtr` and `Xval` are (T, n) window matrices as `train` takes them; T
+    is every trial's window size. A budget above the grid size degrades
+    to visiting the full grid.
     Ties in validation loss rank the smaller model first (hs, then n).
     When `out_dir` is given every trial's model is checkpointed there.
     """
@@ -82,17 +84,13 @@ def random_search(
     rng = np.random.default_rng(space.seed)
     order = rng.permutation(len(cells))[: min(space.trials, len(cells))]
 
-    window_size = None
-    for w in train_windows:
-        window_size = len(w)
-        break
-    if window_size is None:
+    if Xtr.shape[1] == 0:
         raise EmptyDataset("no training windows")
     results = []
     for cell in order:
         hs, n = cells[cell]
-        model = init_model(hs, n, window_size, seed=config.seed)
-        outcome = train(model, train_windows, val_windows, config)
+        model = init_model(hs, n, Xtr.shape[0], seed=config.seed)
+        outcome = train(model, Xtr, Xval, config)
         path = ""
         if out_dir is not None:
             path = str(Path(out_dir) / f"model_hs{hs}_n{n}.bin")

@@ -318,7 +318,7 @@ def test_7_window_and_normalization_invariants() -> None:
         assert len(make_windows(trace, "s", days, w, 1)) == n - w + 1
         params = fit_normalization(trace, "s", days)
         normed = make_windows(trace, "s", days, w, 1, params)
-        allv = np.concatenate([x.values for x in normed])
+        allv = normed.matrix.T.ravel()
         mu, sd = float(allv.mean()), float(allv.std())
         assert abs(mu) < 0.05 and 0.9 <= sd <= 1.1, (trial, mu, sd)
         worst_mu = max(worst_mu, abs(mu))

@@ -441,6 +441,86 @@ class TestUnknownLabel:
         self.check(capsys)
 
 
+def one_data_error(capsys, kind: str) -> str:
+    """The one stderr line of a data error of `kind`, with no traceback."""
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: data: {kind}"), err
+    assert "Traceback" not in captured.out + captured.err
+    return err[0]
+
+
+class TestSideFiles:
+    """Label, event and threshold files that are not UTF-8 text or hold
+    values the program cannot use are data errors (exit 3)."""
+
+    def test_report_truth_not_utf8(self, tmp_path, capsys) -> None:
+        truth = tmp_path / "truth.csv"
+        truth.write_bytes(b"start,end,peak,peak_score,method,class_hint\n\xff\xfe\n")
+        assert run("report", "--truth", str(truth), "--out-dir", str(tmp_path / "r")) == 3
+        one_data_error(capsys, "FileUnreadable")
+
+    def test_corr_labels_not_utf8(self, pipeline, tmp_path, capsys) -> None:
+        labels = tmp_path / "labels.csv"
+        labels.write_bytes(b"date,label\n2021-06-01,normal\xff\n")
+        assert run(
+            "corr", "--input", str(pipeline / "synth" / "trace.csv"),
+            "--labels", str(labels), "--out-dir", str(tmp_path / "c"),
+        ) == 3
+        one_data_error(capsys, "FileUnreadable")
+
+    def detect(self, pipeline, tmp_path, threshold) -> int:
+        return run(
+            "detect", "--input", str(pipeline / "synth" / "trace.csv"),
+            "--sensor", "temp_core",
+            "--checkpoint", str(pipeline / "train" / "model.bin"),
+            "--threshold", str(threshold), "--out-dir", str(tmp_path / "det"),
+        )
+
+    def test_detect_threshold_not_utf8(self, pipeline, tmp_path, capsys) -> None:
+        threshold = tmp_path / "threshold.json"
+        threshold.write_bytes(b'{"alpha": 0.5\xff}')
+        assert self.detect(pipeline, tmp_path, threshold) == 3
+        one_data_error(capsys, "FileUnreadable")
+
+    @pytest.mark.parametrize(
+        "alpha, exceedances",
+        [("Infinity", "null"), ("1" + "0" * 400, "null"), ("0.5", "1e999")],
+        ids=["alpha-infinity", "alpha-400-digits", "exceedances-1e999"],
+    )
+    def test_detect_threshold_out_of_range(
+        self, pipeline, tmp_path, capsys, alpha, exceedances
+    ) -> None:
+        threshold = tmp_path / "threshold.json"
+        threshold.write_text(
+            f'{{"alpha": {alpha}, "method": "quantile", "calibration_stats": '
+            f'{{"max_val_error": 0.1, "quantile_used": 1.0, '
+            f'"holdout_exceedances": {exceedances}}}}}',
+            encoding="utf-8",
+        )
+        assert self.detect(pipeline, tmp_path, threshold) == 3
+        one_data_error(capsys, "MalformedHeader")
+        assert not (tmp_path / "det").exists()
+
+    def test_calibrate_infinite_alpha_is_usage_error(self, tmp_path, capsys) -> None:
+        out = tmp_path / "cal"
+        assert run("calibrate", "--alpha", "inf", "--out-dir", str(out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: usage:")
+        assert not (out / "threshold.json").exists()
+
+    def test_report_stamp_outside_years_1_to_9999(self, tmp_path, capsys) -> None:
+        truth = tmp_path / "truth.csv"
+        truth.write_text(
+            "start,end,peak,peak_score,method,class_hint\n"
+            "0001-01-01T00:00:00+14:00,2021-06-01T01:00:00+00:00,"
+            "2021-06-01T00:30:00+00:00,1.0,truth,swarm\n",
+            encoding="utf-8",
+        )
+        assert run("report", "--truth", str(truth), "--out-dir", str(tmp_path / "r")) == 3
+        assert f"{truth}:2:" in one_data_error(capsys, "MalformedHeader")
+
+
 class TestCorr:
     def test_explicit_day_list(self, pipeline, tmp_path) -> None:
         out = tmp_path / "corr"

@@ -14,7 +14,6 @@ from hivewatch.data import (
     NormalizationParams,
     SensorColumn,
     SensorTrace,
-    Window,
     auto_label_days,
     build_splits,
     fit_normalization,
@@ -334,10 +333,9 @@ class TestMakeWindows:
         trace = minute_trace(np.arange(10.0))
         wins = make_windows(trace, "temp_core", {date(1970, 1, 1)}, window_size=4)
         assert len(wins) == 7
-        np.testing.assert_allclose(wins[0].values, [0, 1, 2, 3])
-        np.testing.assert_allclose(wins[6].values, [6, 7, 8, 9])
-        assert wins[2].start_ts == 120
-        assert not wins[0].normalized
+        np.testing.assert_allclose(wins.matrix[:, 0], [0, 1, 2, 3])
+        np.testing.assert_allclose(wins.matrix[:, 6], [6, 7, 8, 9])
+        assert wins.start_ts[2] == 120
 
     @given(n=st.integers(2, 200), w=st.integers(2, 200))
     @settings(max_examples=60, deadline=None)
@@ -353,7 +351,7 @@ class TestMakeWindows:
         wins = make_windows(
             trace, "temp_core", {date(1970, 1, 1)}, window_size=4, stride=3
         )
-        assert [w.start_ts for w in wins] == [0, 180, 360]
+        assert wins.start_ts.tolist() == [0, 180, 360]
 
     def test_windows_skip_missing_readings(self):
         vals = np.arange(12.0)
@@ -362,8 +360,7 @@ class TestMakeWindows:
         wins = make_windows(trace, "temp_core", {date(1970, 1, 1)}, window_size=3)
         # runs of length 5 and 6 -> 3 + 4 windows, none containing index 5
         assert len(wins) == 7
-        for w in wins:
-            assert np.isfinite(w.values).all()
+        assert np.isfinite(wins.matrix).all()
 
     def test_windows_skip_timestamp_gaps(self):
         ts = np.array([0, 60, 120, 300, 360, 420, 480], dtype=np.int64)
@@ -375,13 +372,13 @@ class TestMakeWindows:
         )
         wins = make_windows(trace, "t", {date(1970, 1, 1)}, window_size=3)
         # runs of length 3 and 4 -> 1 + 2 windows
-        assert [w.start_ts for w in wins] == [0, 300, 360]
+        assert wins.start_ts.tolist() == [0, 300, 360]
 
     def test_day_selection_restricts_windows(self):
         trace = minute_trace(np.arange(2880.0))
         wins = make_windows(trace, "temp_core", {date(1970, 1, 2)}, window_size=60)
         assert len(wins) == 1440 - 60 + 1
-        assert min(w.start_ts for w in wins) == 86400
+        assert wins.start_ts.min() == 86400
 
     def test_adjacent_selected_days_share_windows(self):
         """Contiguous readings across midnight stay windowable when both
@@ -397,12 +394,7 @@ class TestMakeWindows:
         wins = make_windows(
             trace, "temp_core", {date(1970, 1, 1)}, window_size=3, params=params
         )
-        np.testing.assert_allclose(wins[0].values, [-1.0, 0.0, 1.0])
-        assert wins[0].normalized
-
-    def test_window_rejects_nan(self):
-        with pytest.raises(ValueError):
-            Window(start_ts=0, values=np.array([1.0, np.nan]))
+        np.testing.assert_allclose(wins.matrix[:, 0], [-1.0, 0.0, 1.0])
 
 
 class TestMissingSpans:

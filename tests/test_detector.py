@@ -28,7 +28,7 @@ from hivewatch.detector import (
     write_events,
     write_threshold,
 )
-from hivewatch.errors import EmptyValidation
+from hivewatch.errors import EmptyValidation, LengthMismatch
 from hivewatch.nn import init_model, model_parameters, set_model_parameters
 
 IDENT = NormalizationParams(mean=0.0, std=1.0)
@@ -77,7 +77,7 @@ class TestLowerQuantile:
 class TestCalibrate:
     def errors_windows(self, errors, w=4):
         """Constant windows whose blind-model errors are exactly `errors`."""
-        return [const_window(np.sqrt(e), w) for e in errors]
+        return np.column_stack([const_window(np.sqrt(e), w) for e in errors])
 
     def test_max_times_margin(self):
         """Errors {0.1, 0.2, 0.4} at quantile 1.0 give alpha 0.42."""
@@ -110,25 +110,47 @@ class TestCalibrate:
 
     def test_no_validation_windows(self):
         with pytest.raises(EmptyValidation):
-            calibrate(blind_model(), [])
+            calibrate(blind_model(), np.empty((4, 0)))
 
     def test_all_zero_errors_rejected(self):
         with pytest.raises(EmptyValidation):
-            calibrate(blind_model(), [const_window(0.0)] * 3)
+            calibrate(blind_model(), np.column_stack([const_window(0.0)] * 3))
 
     def test_validation_never_scores_at_alpha(self):
         """The 1.05 margin keeps every calibration window strictly below."""
         rng = np.random.default_rng(0)
-        windows = [rng.normal(0, 1, 4) for _ in range(50)]
+        windows = np.column_stack([rng.normal(0, 1, 4) for _ in range(50)])
         model = blind_model()
         threshold = calibrate(model, windows)
         assert (window_errors(model, windows) < threshold.alpha).all()
+
+
+class TestWindowErrors:
+    def test_one_score_per_column(self):
+        """A (T, n) matrix gets n scores; its transpose is refused, not
+        scored as T windows of length n."""
+        X = np.arange(28.0).reshape(4, 7) / 28.0
+        errors = window_errors(blind_model(window_size=4), X)
+        np.testing.assert_allclose(errors, np.mean(X**2, axis=0), rtol=1e-15)
+        with pytest.raises(LengthMismatch):
+            window_errors(blind_model(window_size=4), X.T)
 
 
 class TestThresholdType:
     def test_positive_alpha_required(self):
         with pytest.raises(ValueError):
             Threshold(alpha=0.0)
+
+    def test_finite_alpha_required(self):
+        with pytest.raises(ValueError):
+            Threshold(alpha=float("inf"))
+
+    @pytest.mark.parametrize("max_val_error, quantile_used", [(float("inf"), 1.0), (0.1, 1.5)])
+    def test_stats_in_range_required(self, max_val_error, quantile_used):
+        """Stats `write_threshold` could only write as non-JSON `Infinity`,
+        or a quantile `calibrate` never uses, are refused."""
+        with pytest.raises(ValueError):
+            CalibrationStats(max_val_error=max_val_error, quantile_used=quantile_used)
 
     def test_method_vocabulary(self):
         with pytest.raises(ValueError):

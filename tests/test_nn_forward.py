@@ -8,7 +8,6 @@ import warnings
 import numpy as np
 import pytest
 
-from hivewatch.data import Window
 from hivewatch.errors import InvalidHyperparameter, LengthMismatch
 from hivewatch.nn import (
     forward,
@@ -114,11 +113,6 @@ class TestForward:
         y = forward(model, np.linspace(-1.0, 1.0, 60))
         np.testing.assert_allclose(y[:4], RAMP_GOLDEN_HEAD, rtol=1e-10)
         np.testing.assert_allclose(y[-2:], RAMP_GOLDEN_TAIL, rtol=1e-10)
-
-    def test_accepts_window_objects(self):
-        model = init_model(2, 1, 5, seed=0)
-        win = Window(start_ts=0, values=np.ones(5), normalized=True)
-        np.testing.assert_array_equal(forward(model, win), forward(model, np.ones(5)))
 
     def test_length_mismatch(self):
         model = init_model(2, 1, 8, seed=0)

@@ -16,7 +16,9 @@ FAST = TrainConfig(max_epochs=2, batch_size=8, seed=0)
 
 def tiny_windows(n, w=8, seed=0):
     rng = np.random.default_rng(seed)
-    return [rng.uniform(-1, 1) + rng.normal(0, 0.05, size=w) for _ in range(n)]
+    return np.column_stack(
+        [rng.uniform(-1, 1) + rng.normal(0, 0.05, size=w) for _ in range(n)]
+    )
 
 
 class TestSearchSpace:
@@ -76,15 +78,15 @@ class TestRandomSearch:
         """All-zero windows are reconstructed exactly by every fresh model
         (loss 0.0 for each trial), so ordering falls through to (hs, n)."""
         space = SearchSpace(hs_range=(2, 3), n_range=(1, 2), trials=4, seed=3)
-        zeros = [np.zeros(8) for _ in range(8)]
-        results = random_search(space, zeros, zeros[:2], FAST)
+        zeros = np.zeros((8, 8))
+        results = random_search(space, zeros, zeros[:, :2], FAST)
         assert all(r.best_val_loss == 0.0 for r in results)
         assert [(r.hs, r.n) for r in results] == [(2, 1), (2, 2), (3, 1), (3, 2)]
 
     def test_empty_windows(self):
         space = SearchSpace(hs_range=(2, 2), n_range=(1, 1), trials=1)
         with pytest.raises(EmptyDataset):
-            random_search(space, [], tiny_windows(2), FAST)
+            random_search(space, np.empty((8, 0)), tiny_windows(2), FAST)
 
     def test_empty_grid(self):
         space = SearchSpace.__new__(SearchSpace)  # bypass range validation

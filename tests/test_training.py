@@ -20,7 +20,7 @@ def level_windows(rng, n, w=16, noise=0.05):
     """Windows that are a random constant level plus light noise; learning
     to carry the level through the latent code beats mean prediction."""
     levels = rng.uniform(-1.0, 1.0, size=n)
-    return [lvl + rng.normal(0.0, noise, size=w) for lvl in levels]
+    return np.column_stack([lvl + rng.normal(0.0, noise, size=w) for lvl in levels])
 
 
 class TestTrain:
@@ -28,8 +28,8 @@ class TestTrain:
         model = init_model(8, 1, 16, seed=3)
         result = train(
             model,
-            [np.zeros(16) for _ in range(32)],
-            [np.zeros(16) for _ in range(8)],
+            np.zeros((16, 32)),
+            np.zeros((16, 8)),
             TrainConfig(max_epochs=50, batch_size=8, seed=0),
         )
         assert result.best_val_loss <= 1e-3
@@ -106,11 +106,11 @@ class TestTrain:
 
     def test_empty_dataset_rejected(self):
         model = init_model(4, 1, 16, seed=0)
-        wins = [np.zeros(16)]
+        wins = np.zeros((16, 1))
         with pytest.raises(EmptyDataset):
-            train(model, [], wins)
+            train(model, np.empty((16, 0)), wins)
         with pytest.raises(EmptyDataset):
-            train(model, wins, [])
+            train(model, wins, np.empty((16, 0)))
 
     def test_loss_history_recorded_per_epoch(self):
         rng = np.random.default_rng(3)
