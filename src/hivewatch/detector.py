@@ -331,9 +331,13 @@ _ISO_RANGE = (
 
 
 def _from_iso(s: str) -> int:
-    """Epoch seconds of an ISO-8601 stamp; ValueError unless `_iso` can
-    write the instant back (years 1 to 9999 in UTC)."""
-    ts = int(datetime.fromisoformat(s).timestamp())
+    """Epoch seconds of an ISO-8601 stamp, read as UTC when it has no
+    offset (as `ingest` reads it); ValueError unless `_iso` can write the
+    instant back (years 1 to 9999 in UTC)."""
+    dt = datetime.fromisoformat(s)
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    ts = int(dt.timestamp())
     if not _ISO_RANGE[0] <= ts <= _ISO_RANGE[1]:
         raise ValueError(f"stamp {s!r} falls outside years 1-9999 in UTC")
     return ts

@@ -7,11 +7,17 @@ next stage the same way a shell pipeline would use them.
 from __future__ import annotations
 
 import json
+import os
 import struct
+import subprocess
+import sys
+import time
 import warnings
+from pathlib import Path
 
 import pytest
 
+import hivewatch
 from hivewatch.cli import main
 from hivewatch.data import read_labels
 from hivewatch.detector import (
@@ -348,6 +354,32 @@ class TestBadCheckpoint:
         assert not (tmp_path / "out" / "ae_events.csv").exists()
 
 
+class TestBlasThreads:
+    def test_detect_bytes_do_not_depend_on_blas_threads(self, pipeline, tmp_path) -> None:
+        """`python -m hivewatch.cli detect` with the BLAS thread count left
+        to the library, and with it pinned to one, writes the events an
+        in-process run writes, byte for byte."""
+        argv = ["detect", "--input", str(pipeline / "synth" / "trace.csv"),
+                "--sensor", "temp_core",
+                "--checkpoint", str(pipeline / "train" / "model.bin"),
+                "--threshold", str(pipeline / "cal" / "threshold.json")]
+        assert run(*argv, "--out-dir", str(tmp_path / "in")) == 0
+        src = str(Path(hivewatch.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        for name, blas_threads in (("unpinned", {}), ("pinned", {"OPENBLAS_NUM_THREADS": "1",
+                                                                  "OMP_NUM_THREADS": "1"})):
+            done = subprocess.run(
+                [sys.executable, "-m", "hivewatch.cli", *argv, "--out-dir", str(tmp_path / name)],
+                env={**env, **blas_threads}, capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            assert (tmp_path / name / "ae_events.csv").read_bytes() == (
+                tmp_path / "in" / "ae_events.csv"
+            ).read_bytes()
+
+
 class TestRba:
     def test_finds_generated_swarm(self, pipeline, tmp_path) -> None:
         """Rule detection on generator output overlaps the generator's
@@ -612,6 +644,40 @@ class TestReport:
 
     def test_needs_reference(self, tmp_path) -> None:
         assert run("report", "--out-dir", str(tmp_path / "rep")) == 2
+
+    def test_stamps_without_offset_read_as_utc(self, tmp_path, monkeypatch) -> None:
+        """A truth stamp with no offset is UTC, as in `ingest`, whatever
+        the machine's time zone."""
+        truth, ae = tmp_path / "truth.csv", tmp_path / "ae.csv"
+        header = "start,end,peak,peak_score,method,class_hint\n"
+        truth.write_text(
+            header + "2021-06-01T10:00:00,2021-06-01T10:20:00,2021-06-01T10:10:00,1.0,truth,swarm\n",
+            encoding="utf-8",
+        )
+        ae.write_text(
+            header + "2021-06-01T10:05:00+00:00,2021-06-01T10:15:00+00:00,"
+            "2021-06-01T10:10:00+00:00,2.0,AE,swarm-like\n",
+            encoding="utf-8",
+        )
+        reports = {}
+        try:
+            for zone, offset in (("UTC", 0), ("Asia/Tokyo", 9 * 3600)):
+                monkeypatch.setenv("TZ", zone)
+                time.tzset()
+                assert time.localtime(0).tm_gmtoff == offset
+                out = tmp_path / zone.replace("/", "-")
+                assert run(
+                    "report", "--truth", str(truth), "--ae-events", str(ae),
+                    "--window-size", "10", "--period", "60", "--out-dir", str(out),
+                ) == 0
+                reports[zone] = (out / "report.csv").read_bytes()
+        finally:
+            monkeypatch.undo()
+            time.tzset()
+        assert reports["Asia/Tokyo"] == reports["UTC"]
+        assert reports["UTC"].splitlines()[1] == (
+            b"2021-06-01T10:00:00+00:00,2021-06-01T10:20:00+00:00,swarm,no,yes"
+        )
 
 
 class TestParser:

@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import os
+import signal
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from hivewatch.errors import InvalidHyperparameter, LengthMismatch
+import hivewatch.nn.model as nn_model
+from hivewatch.detector import window_errors
+from hivewatch.errors import CheckpointError, InvalidHyperparameter, LengthMismatch
 from hivewatch.nn import (
     forward,
     init_layer,
@@ -18,7 +25,7 @@ from hivewatch.nn import (
     reconstruction_loss,
     set_model_parameters,
 )
-from hivewatch.nn.model import SCORE_BATCH, _forward_batch, reconstruction_errors
+from hivewatch.nn.model import SCORE_BATCH, _chunk_bounds, _forward_batch, reconstruction_errors
 
 # Reconstruction of np.linspace(-1, 1, 60) by the seed-7 (hs=4, n=1, w=60)
 # model, recorded once from the verified implementation and locked.
@@ -164,10 +171,13 @@ class TestForwardOnly:
 
 
 class TestReconstructionErrors:
-    @pytest.mark.parametrize("n", [1, SCORE_BATCH - 1, SCORE_BATCH, SCORE_BATCH + 1, 1100])
+    @pytest.mark.parametrize(
+        "n", sorted({1, 511, 512, 513, 1100, SCORE_BATCH - 1, SCORE_BATCH, SCORE_BATCH + 1})
+    )
     def test_matches_per_window_forward(self, n):
         """Each column's error equals the one-window forward's across chunk
-        edges. A width-1 batch rounds differently in the last bit, so the
+        edges: both at the full batch and at half of it, the narrowest chunk
+        the balanced split makes. A width-1 batch rounds differently in the last bit, so the
         comparison is at rtol 1e-12, not bit for bit."""
         model = init_model(4, 1, 6, seed=n)
         X = np.random.default_rng(n).normal(size=(6, n))
@@ -179,6 +189,153 @@ class TestReconstructionErrors:
     def test_no_windows_give_empty_result(self):
         got = reconstruction_errors(init_model(4, 1, 6, seed=0), np.empty((6, 0)))
         assert got.shape == (0,)
+
+
+def serial_errors(model, X):
+    """`reconstruction_errors` as one loop on one thread, same bounds."""
+    out = np.empty(X.shape[1])
+    for a, b in _chunk_bounds(X.shape[1]):
+        Y = _forward_batch(model, X[:, a:b]).Y
+        out[a:b] = np.mean((Y - X[:, a:b]) ** 2, axis=0)
+    return out
+
+
+PARALLEL_NS = [0, 1, 255, 256, 511, 512, 513, 1023, 1024, 1025, 1381, 2048, 2049, 2762]
+
+
+class TestParallelScoring:
+    """Chunks run on the calling thread and one worker per extra CPU."""
+
+    @staticmethod
+    def case(n):
+        model = init_model(16, 1, 60, seed=3)
+        return model, np.random.default_rng(n).normal(size=(60, n))
+
+    @pytest.mark.parametrize("n", PARALLEL_NS)
+    def test_bounds_are_balanced_and_depend_on_n_alone(self, n):
+        bounds = _chunk_bounds(n)
+        starts, ends = [a for a, _ in bounds], [b for _, b in bounds]
+        assert starts[1:] == ends[:-1]
+        assert (starts[:1], ends[-1:]) == (([0], [n]) if n else ([], []))
+        widths = [b - a for a, b in bounds]
+        if n < SCORE_BATCH:
+            assert widths == ([n] if n else [])
+        else:
+            assert len(bounds) % 2 == 0
+            assert max(widths) - min(widths) <= 1
+            assert SCORE_BATCH // 2 <= min(widths) and max(widths) <= SCORE_BATCH
+
+    @pytest.mark.parametrize("n", PARALLEL_NS)
+    def test_matches_serial_loop_bit_for_bit(self, n):
+        model, X = self.case(n)
+        np.testing.assert_array_equal(reconstruction_errors(model, X), serial_errors(model, X))
+
+    def test_one_cpu_path_gives_the_same_bits(self, monkeypatch):
+        model, X = self.case(1381)
+        threaded = reconstruction_errors(model, X)
+        monkeypatch.setattr(nn_model, "_score_pool", lambda: (None, 1))
+        assert reconstruction_errors(model, X).tobytes() == threaded.tobytes()
+
+    def test_reruns_give_identical_bytes(self):
+        model, X = self.case(2762)
+        assert reconstruction_errors(model, X).tobytes() == reconstruction_errors(model, X).tobytes()
+
+    def test_worker_exception_reaches_caller(self, monkeypatch):
+        """Chunk 1 is the first worker's (the caller scores chunk 0)."""
+
+        class ChunkFailed(Exception):
+            pass
+
+        model, X = self.case(1381)
+        start = _chunk_bounds(1381)[1][0]
+        real, threads = _forward_batch, []
+
+        def fail_on_chunk_1(model, chunk, keep_cache=False):
+            if np.array_equal(chunk[:, 0], X[:, start]):
+                threads.append(threading.current_thread())
+                raise ChunkFailed("chunk 1")
+            return real(model, chunk, keep_cache)
+
+        monkeypatch.setattr(nn_model, "_forward_batch", fail_on_chunk_1)
+        with pytest.raises(ChunkFailed):
+            reconstruction_errors(model, X)
+        assert len(threads) == 1
+        _, cpus = nn_model._score_pool()
+        assert (threads[0] is not threading.current_thread()) == (cpus > 1)
+
+    def test_concurrent_callers_share_the_pool(self):
+        """More callers than CPUs, switching threads every microsecond:
+        each still gets its own matrix's errors, and none hangs."""
+        model = init_model(4, 1, 12, seed=1)
+        inputs = [np.random.default_rng(k).normal(size=(12, 1381 + k)) for k in range(6)]
+        want = [serial_errors(model, X) for X in inputs]
+        got = [None] * len(inputs)
+
+        def call(k):
+            got[k] = reconstruction_errors(model, inputs[k])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call, args=(k,)) for k in range(len(inputs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_gets_a_fresh_pool(self):
+        """A child forked after scoring inherits the pool but not its
+        threads; it must still score, not wait forever on a dead worker."""
+        model, X = self.case(1381)
+        want = reconstruction_errors(model, X)
+        pid = os.fork()
+        if pid == 0:  # the child: exit 0 only on the parent's bits, never return
+            code = 1
+            try:
+                code = 0 if reconstruction_errors(model, X).tobytes() == want.tobytes() else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("forked child did not finish scoring")
+        assert os.waitstatus_to_exitcode(done[1]) == 0
+
+    def test_caller_errstate_holds_in_worker(self):
+        """Weights near 1e300 overflow in every chunk; `window_errors`
+        silences that with `np.errstate`, on the worker thread too, and
+        reports the non-finite errors as a CheckpointError."""
+        model, X = self.case(1381)
+        for p in model_parameters(model).values():
+            p *= 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CheckpointError, match="1381 of 1381"):
+                window_errors(model, X)
+
+    def test_cache_free_forward_frees_encoder_sequence(self):
+        """The latent code is copied out of the encoder's (T, hs, B)
+        output, which is freed before the decoder builds its own: the
+        peak stays well under two such blocks."""
+        T, B, hs = 60, 512, 16
+        model = init_model(hs, 1, T, seed=0)
+        X = np.random.default_rng(1).normal(size=(T, B))
+        tracemalloc.start()
+        try:
+            _forward_batch(model, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * T * hs * B * 8
 
 
 def unfused_lstm(layer, X, h0, c0):
