@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..data import SensorTrace, _day_number
+from ..data import SensorTrace
 
 POPULATIONS = ("normal-days", "anomalous-days")
 
@@ -46,8 +46,7 @@ def pearson_matrix(
     if len(sensors) < 2:
         raise ValueError("need at least two sensors to correlate")
     cols = [trace.sensor(s) for s in sensors]  # raises UnknownSensor
-    wanted = {_day_number(d) for d in days}
-    day_mask = np.isin(trace.day_numbers(), sorted(wanted))
+    day_mask = trace.day_mask(days)
 
     k = len(sensors)
     values = np.full((k, k), np.nan)

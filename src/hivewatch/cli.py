@@ -234,7 +234,7 @@ def cmd_train(args) -> int:
 
 def cmd_search(args) -> int:
     trace = ingest(args.input)
-    _, splits, _, train_w, val_w = _prepare_training_windows(args, trace)
+    _, _, norm, train_w, val_w = _prepare_training_windows(args, trace)
     space = SearchSpace(
         hs_range=_parse_range(args.hs_range),
         n_range=_parse_range(args.layers_range),
@@ -242,7 +242,7 @@ def cmd_search(args) -> int:
         seed=args.seed,
     )
     out = _out_dir(args)
-    results = random_search(space, train_w, val_w, _train_config(args), out_dir=out)
+    results = random_search(space, train_w, val_w, norm, _train_config(args), out_dir=out)
     report_path = out / "search_report.csv"
     write_search_report(report_path, results)
 

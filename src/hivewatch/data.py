@@ -41,10 +41,6 @@ _SECONDS_PER_DAY = 86400
 MAX_UNSORTED_FRACTION = 0.01
 
 
-def _day_numbers(timestamps: np.ndarray, utc_offset_s: int) -> np.ndarray:
-    return (timestamps + utc_offset_s) // _SECONDS_PER_DAY
-
-
 def _day_number(day: date) -> int:
     return day.toordinal() - _EPOCH_ORDINAL
 
@@ -102,7 +98,11 @@ class SensorTrace:
 
     def day_numbers(self) -> np.ndarray:
         """Epoch day index of each reading, honoring the declared offset."""
-        return _day_numbers(self.timestamps, self.utc_offset_s)
+        return (self.timestamps + self.utc_offset_s) // _SECONDS_PER_DAY
+
+    def day_mask(self, days) -> np.ndarray:
+        """True for each reading whose calendar day is in `days`."""
+        return np.isin(self.day_numbers(), sorted({_day_number(d) for d in days}))
 
     def days(self) -> list[date]:
         """Distinct calendar days present, ascending."""
@@ -339,13 +339,13 @@ def _parse_blocks(fh, delimiter: str, n_cols: int):
     return ts, np.concatenate(val_parts, axis=1), offset, 0, 0
 
 
-def ingest(path, delimiter: str | None = None, hive_id: str | None = None) -> SensorTrace:
-    """Read a delimited sensor file into a trace.
+def ingest(path) -> SensorTrace:
+    """Read a delimited sensor file into a trace named after the file.
 
     The layout is a header `timestamp,<sensor>...`, ISO-8601 or
     epoch-second timestamps, and an empty cell for a missing reading.
-    Without `delimiter`, it comes from the header line: tab if that holds
-    one, comma otherwise, so both layouts `write_trace` produces read back.
+    The delimiter comes from the header line: tab if that holds one,
+    comma otherwise, so both layouts `write_trace` produces read back.
 
     The body is first read in blocks of 1 024 lines, each split into
     columns: NumPy parses the stamps and `float` each value cell. That
@@ -370,8 +370,7 @@ def ingest(path, delimiter: str | None = None, hive_id: str | None = None) -> Se
     try:
         with fh:
             first = fh.readline()
-            if delimiter is None:
-                delimiter = "\t" if "\t" in first else ","
+            delimiter = "\t" if "\t" in first else ","
             try:
                 header = next(csv.reader([first], delimiter=delimiter))
             except csv.Error as exc:
@@ -410,7 +409,7 @@ def ingest(path, delimiter: str | None = None, hive_id: str | None = None) -> Se
             ts, vals = ts[keep], vals[:, keep]
 
     return SensorTrace(
-        hive_id=hive_id or path.stem,
+        hive_id=path.stem,
         columns=[SensorColumn(n, _unit_for(n)) for n in names],
         timestamps=ts,
         values=vals,
@@ -453,24 +452,22 @@ def write_trace(path, trace: SensorTrace, delimiter: str = ",") -> None:
 #: Core temperature a healthy colony holds, degrees Celsius.
 BROOD_TEMP_C = 34.5
 
+#: `auto_label_days`: distance from `BROOD_TEMP_C` that counts as an
+#: excursion (degrees Celsius), the cumulative excursion minutes that make
+#: a day anomalous, and the missing fraction above which it is anomalous.
+LABEL_BAND_C = 3.0
+LABEL_MIN_EXCESS_MINUTES = 10
+LABEL_MAX_MISSING_FRACTION = 0.2
 
-def auto_label_days(
-    trace: SensorTrace,
-    sensor: str,
-    band: float = 3.0,
-    min_excess_minutes: int = 10,
-    base_temp: float = BROOD_TEMP_C,
-    max_missing_fraction: float = 0.2,
-) -> list[DayLabel]:
+
+def auto_label_days(trace: SensorTrace, sensor: str) -> list[DayLabel]:
     """Label each day normal or anomalous from one sensor's readings.
 
-    A day is anomalous when readings sit more than `band` away from
-    `base_temp` for at least `min_excess_minutes` cumulative minutes, or
-    when more than `max_missing_fraction` of its readings are missing
-    (sensor-anomaly class).
+    A day is anomalous when readings sit more than `LABEL_BAND_C` away
+    from `BROOD_TEMP_C` for at least `LABEL_MIN_EXCESS_MINUTES` cumulative
+    minutes, or when more than `LABEL_MAX_MISSING_FRACTION` of its
+    readings are missing (sensor-anomaly class).
     """
-    if not band > 0:
-        raise ValueError("band must be positive")
     col = trace.sensor(sensor)
     if len(trace) == 0:
         return []
@@ -483,11 +480,11 @@ def auto_label_days(
         mask = day_nums == num
         vals = col[mask]
         missing = np.isnan(vals)
-        if missing.mean() > max_missing_fraction:
+        if missing.mean() > LABEL_MAX_MISSING_FRACTION:
             anomalous = True
         else:
-            excess = np.abs(vals[~missing] - base_temp) > band
-            anomalous = excess.sum() * minutes_per_reading >= min_excess_minutes
+            excess = np.abs(vals[~missing] - BROOD_TEMP_C) > LABEL_BAND_C
+            anomalous = excess.sum() * minutes_per_reading >= LABEL_MIN_EXCESS_MINUTES
         labels.append(
             DayLabel(
                 day=date.fromordinal(_EPOCH_ORDINAL + int(num)),
@@ -532,8 +529,7 @@ def build_splits(
 def fit_normalization(trace: SensorTrace, sensor: str, days: set) -> NormalizationParams:
     """Population mean/std of one sensor over the given days (non-missing only)."""
     col = trace.sensor(sensor)
-    wanted = {_day_number(d) for d in days}
-    mask = np.isin(trace.day_numbers(), sorted(wanted)) & np.isfinite(col)
+    mask = trace.day_mask(days) & np.isfinite(col)
     vals = col[mask]
     if len(vals) < 2:
         raise EmptyDataset(f"need at least 2 readings in the given days, have {len(vals)}")
@@ -584,10 +580,12 @@ def make_windows(
     if stride < 1:
         raise ValueError("stride must be >= 1")
     col = trace.sensor(sensor)
-    wanted = {_day_number(d) for d in days}
-    eligible = np.isfinite(col) & np.isin(trace.day_numbers(), sorted(wanted))
+    eligible = np.isfinite(col) & trace.day_mask(days)
     if params is not None:
-        col = params.normalize(col)
+        # A reading z-scored past the float range becomes inf, which
+        # scoring reports as a non-finite error.
+        with np.errstate(over="ignore"):
+            col = params.normalize(col)
 
     views, starts = [], []
     for a, b in _contiguous_runs(trace, eligible):

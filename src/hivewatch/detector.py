@@ -110,8 +110,9 @@ def window_errors(model: AutoencoderModel, X: np.ndarray) -> np.ndarray:
     path validation also uses.
 
     Raises CheckpointError when an error is not finite: a NaN compares
-    false against every threshold, so a diverged model would otherwise
-    report no events.
+    false against every threshold, so a diverged model, or a
+    normalization that z-scores readings past the float range, would
+    otherwise report no events.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         out = reconstruction_errors(model, X)
@@ -119,7 +120,7 @@ def window_errors(model: AutoencoderModel, X: np.ndarray) -> np.ndarray:
     if bad:
         raise CheckpointError(
             f"non-finite reconstruction error on {bad} of {len(out)} windows; "
-            "the model's weights have diverged"
+            "the model's weights have diverged or its normalization overflows"
         )
     return out
 
@@ -201,18 +202,17 @@ def score_trace(
     model: AutoencoderModel,
     trace: SensorTrace,
     sensor: str,
-    params=None,
     stride: int = 1,
 ) -> TraceScores:
-    """Reconstruction error for every window the trace can supply.
+    """Reconstruction error for every window the trace can supply, each
+    z-scored with the model's own normalization, `model.norm`.
 
     Windows overlapping missing readings or timestamp jumps are skipped;
     those spans come back in `gaps` instead so silence is never silently
     ignored.
     """
-    norm = params if params is not None else model.norm
-    if norm is None:
-        raise ValueError("need normalization parameters (argument or model.norm)")
+    if model.norm is None:
+        raise ValueError("need normalization parameters (model.norm)")
     period = sample_period(trace) or 60
     windows = make_windows(
         trace,
@@ -220,7 +220,7 @@ def score_trace(
         days=set(trace.days()),
         window_size=model.window_size,
         stride=stride,
-        params=norm,
+        params=model.norm,
     )
     errors = window_errors(model, windows.matrix)
     gaps = _coalesce(missing_spans(trace, sensor) + _timestamp_gaps(trace, period))

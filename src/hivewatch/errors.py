@@ -23,10 +23,6 @@ class UnsupportedSampling(HivewatchError):
     """Trace's sampling period is not one the operation supports."""
 
 
-class EmptyTrace(HivewatchError):
-    """Operation requires a trace with at least one reading."""
-
-
 class UnknownSensor(HivewatchError):
     """Requested sensor name is not a column of the trace."""
 
@@ -85,7 +81,6 @@ DATA_ERRORS = (
     MalformedHeader,
     NonMonotonicTimestamps,
     UnsupportedSampling,
-    EmptyTrace,
     UnknownSensor,
     NoNormalDays,
     DegenerateStd,

@@ -86,22 +86,22 @@ class LSTMCache:
     TC: np.ndarray  # tanh of cell states, (T, hs, B)
     H: np.ndarray  # hidden states, (T, hs, B)
     h0: np.ndarray  # initial hidden state, (hs, B)
-    c0: np.ndarray  # initial cell state, (hs, B)
 
 
 def lstm_forward(
     params: LSTMLayerParams,
     X: np.ndarray,
     h0: np.ndarray | None = None,
-    c0: np.ndarray | None = None,
     keep_cache: bool = True,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, LSTMCache | None]:
-    """Run the layer over a (T, B, input_size) batch of sequences.
+) -> tuple[np.ndarray, np.ndarray, LSTMCache | None]:
+    """Run the layer over a (T, B, input_size) batch of sequences, from
+    the initial hidden state `h0` (B, hs; zero when None) and a zero cell
+    state.
 
-    Returns the hidden-state sequence (T, B, hs), the final hidden and
-    cell states (B, hs), and the cache `lstm_backward` consumes; the
-    cache is None, and never built, when `keep_cache` is false. Both
-    settings run the same loop and give bit-identical outputs.
+    Returns the hidden-state sequence (T, B, hs), the final hidden state
+    (B, hs), and the cache `lstm_backward` consumes; the cache is None,
+    and never built, when `keep_cache` is false. Both settings run the
+    same loop and give bit-identical outputs.
 
     Each step copies x_t into a (hs + input_size + 1, B) buffer that
     already holds h_{t-1} and a row of ones, and computes all four gate
@@ -127,8 +127,8 @@ def lstm_forward(
     h, x = hx[:hs], hx[hs : hs + D]
     hx[hs + D] = 1.0
     h[...] = 0.0 if h0 is None else np.transpose(h0)
-    c = np.zeros((hs, B)) if c0 is None else np.array(np.transpose(c0), np.float64, order="C")
-    h_init, c_init = h.copy(), c
+    c = np.zeros((hs, B))
+    h_init = h.copy()
     H = np.empty((T, hs, B))
     ig = np.empty((hs, B))
     if keep_cache:
@@ -159,11 +159,9 @@ def lstm_forward(
             h[...] = H[t]
             c = c_next
 
-    cache = (
-        LSTMCache(X=X, Z=Z, C=C, TC=TC, H=H, h0=h_init, c0=c_init) if keep_cache else None
-    )
+    cache = LSTMCache(X=X, Z=Z, C=C, TC=TC, H=H, h0=h_init) if keep_cache else None
     h_final = H[-1] if T else h_init
-    return H.transpose(0, 2, 1), h_final.T, c.T, cache
+    return H.transpose(0, 2, 1), h_final.T, cache
 
 
 def lstm_backward(
@@ -171,14 +169,13 @@ def lstm_backward(
     cache: LSTMCache,
     dH: np.ndarray | None,
     dh_final: np.ndarray | None = None,
-    dc_final: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
     """Backpropagation through time over one layer.
 
     `dH` is the loss gradient with respect to every emitted hidden state,
-    (T, B, hs) or None for no per-step gradient; `dh_final` / `dc_final`
-    add gradient arriving at the final states from outside the sequence.
-    Returns (dX, dh0, dc0, grads) with grads keyed "W", "U", "b" in the
+    (T, B, hs) or None for no per-step gradient; `dh_final` adds gradient
+    arriving at the final hidden state from outside the sequence.
+    Returns (dX, dh0, grads) with grads keyed "W", "U", "b" in the
     [i, f, g, o] gate order. dX has the shape of X, except when X was
     time-invariant (see `lstm_forward`): then it is the gradient of the
     one shared input, shape (1, B, input_size).
@@ -199,14 +196,14 @@ def lstm_backward(
     dZ[:, 3 * hs :] *= 1.0 + G  # tanh' = (1 - g)(1 + g)
     dZ[:, :hs] *= G
     dZ[1:, hs : 2 * hs] *= C[:-1]
-    dZ[0, hs : 2 * hs] *= cache.c0
+    dZ[0, hs : 2 * hs] = 0.0  # the initial cell state is zero
     dZ[:, 2 * hs : 3 * hs] *= TC
     dZ[:, 3 * hs :] *= I
     dc_dh = O * ((1.0 - TC) * (1.0 + TC))  # through h = o * tanh(c)
     dH_steps = None if dH is None else np.asarray(dH, dtype=np.float64).transpose(0, 2, 1)
 
     dh = np.zeros((hs, B)) if dh_final is None else np.array(np.transpose(dh_final), np.float64)
-    dc = np.zeros((hs, B)) if dc_final is None else np.array(np.transpose(dc_final), np.float64)
+    dc = np.zeros((hs, B))
     dc_step = np.empty((hs, B))
     for t in reversed(range(T)):
         if dH_steps is not None:
@@ -235,4 +232,4 @@ def lstm_backward(
         dW = np.matmul(dZ, X).sum(axis=0)
         dX = np.matmul(W.T, dZ).transpose(0, 2, 1)
     grads = {"W": dW[rows], "U": dU[rows], "b": dZ.sum(axis=(0, 2))[rows]}
-    return dX, dh.T, dc.T, grads
+    return dX, dh.T, grads

@@ -58,6 +58,8 @@ class AutoencoderModel:
                 raise ValueError("all layers must share hidden_size")
         if self.w_out.shape != (1, hs) or self.b_out.shape != (1,):
             raise ValueError("output projection must be (1, hs) weights + (1,) bias")
+        if not (np.isfinite(self.w_out).all() and np.isfinite(self.b_out).all()):
+            raise ValueError("output projection contains non-finite entries")
 
 
 def init_model(
@@ -166,7 +168,7 @@ def _forward_batch(
     enc_caches = []
     h_final = None
     for layer in model.encoder_layers:
-        seq, h_final, _, cache = lstm_forward(layer, seq, keep_cache=keep_cache)
+        seq, h_final, cache = lstm_forward(layer, seq, keep_cache=keep_cache)
         enc_caches.append(cache)
     # A copy, so that the encoder's (T, hs, B) output is freed before the
     # decoder allocates its own. It keeps the view's memory layout: the
@@ -179,7 +181,7 @@ def _forward_batch(
     dec_seq = np.broadcast_to(latent, (T, B, hs))
     dec_caches = []
     for layer in model.decoder_layers:
-        dec_seq, _, _, cache = lstm_forward(layer, dec_seq, h0=latent, keep_cache=keep_cache)
+        dec_seq, _, cache = lstm_forward(layer, dec_seq, h0=latent, keep_cache=keep_cache)
         dec_caches.append(cache)
 
     Y = dec_seq @ model.w_out[0] + model.b_out[0]
@@ -306,7 +308,7 @@ def _backward_batch(
     dH = dY[:, :, None] * model.w_out[0]
     dlatent = np.zeros((B, hs))
     for k in reversed(range(n)):
-        dX_dec, dh0, _, g = lstm_backward(model.decoder_layers[k], cache.decoder[k], dH)
+        dX_dec, dh0, g = lstm_backward(model.decoder_layers[k], cache.decoder[k], dH)
         dlatent += dh0  # every decoder layer starts from the latent code
         dH = dX_dec
         for name, arr in g.items():
@@ -316,7 +318,7 @@ def _backward_batch(
     dH_enc: np.ndarray | None = None
     for k in reversed(range(n)):
         top = k == n - 1
-        dX_enc, _, _, g = lstm_backward(
+        dX_enc, _, g = lstm_backward(
             model.encoder_layers[k],
             cache.encoder[k],
             dH_enc,

@@ -24,9 +24,6 @@ class TrainConfig:
     batch_size: int = 64
     max_epochs: int = 100
     patience: int = 5
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self) -> None:

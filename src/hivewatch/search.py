@@ -11,6 +11,7 @@ import csv
 from dataclasses import dataclass
 from pathlib import Path
 
+from .data import NormalizationParams
 from .errors import EmptyDataset, ExhaustedGrid, InvalidHyperparameter
 from .nn import TrainConfig, init_model, save_model, train
 from .nn.model import HIDDEN_SIZE_RANGE, NUM_LAYERS_RANGE
@@ -65,14 +66,16 @@ def random_search(
     space: SearchSpace,
     Xtr: np.ndarray,
     Xval: np.ndarray,
+    norm: NormalizationParams,
     config: TrainConfig = TrainConfig(),
     out_dir=None,
 ) -> list[TrialResult]:
     """Train one model per sampled grid cell; results sorted by loss.
 
-    `Xtr` and `Xval` are (T, n) window matrices as `train` takes them; T
-    is every trial's window size. A budget above the grid size degrades
-    to visiting the full grid.
+    `Xtr` and `Xval` are (T, n) window matrices as `train` takes them,
+    z-scored with `norm`; T is every trial's window size, and every
+    trial's model carries `norm`, so its checkpoint scores new traces. A
+    budget above the grid size degrades to visiting the full grid.
     Ties in validation loss rank the smaller model first (hs, then n).
     When `out_dir` is given every trial's model is checkpointed there.
     """
@@ -89,7 +92,7 @@ def random_search(
     results = []
     for cell in order:
         hs, n = cells[cell]
-        model = init_model(hs, n, Xtr.shape[0], seed=config.seed)
+        model = init_model(hs, n, Xtr.shape[0], seed=config.seed, norm=norm)
         outcome = train(model, Xtr, Xval, config)
         path = ""
         if out_dir is not None:

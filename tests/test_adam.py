@@ -93,9 +93,6 @@ class TestTrainConfig:
     def test_defaults(self):
         config = TrainConfig()
         assert config.learning_rate == pytest.approx(1e-3)
-        assert config.adam_beta1 == pytest.approx(0.9)
-        assert config.adam_beta2 == pytest.approx(0.999)
-        assert config.adam_eps == pytest.approx(1e-8)
         assert config.patience == 5
         assert config.batch_size == 64
 

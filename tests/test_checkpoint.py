@@ -90,3 +90,13 @@ class TestCorruption:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError):
             load_model(tmp_path / "absent.bin")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_output_projection(self, tmp_path, value):
+        """The output bias is the file's last float64; a non-finite one is
+        refused at load, as a non-finite LSTM weight is."""
+        p = tmp_path / "model.bin"
+        save_model(p, roughened())
+        p.write_bytes(p.read_bytes()[:-8] + np.float64(value).tobytes())
+        with pytest.raises(CheckpointError, match="non-finite"):
+            load_model(p)

@@ -156,6 +156,29 @@ class TestSearch:
         best = lines[1].split(",")
         assert load_model(out / best[4]).hidden_size == int(best[0])
 
+    def test_best_checkpoint_calibrates_and_detects(self, pipeline, tmp_path) -> None:
+        """The best checkpoint a search writes carries its training
+        normalization, so calibrate and detect read it like train's."""
+        trace = str(pipeline / "synth" / "trace.csv")
+        labels = str(pipeline / "synth" / "labels.csv")
+        out = tmp_path / "search"
+        assert run(
+            "search", "--input", trace, "--sensor", "temp_core", "--labels", labels,
+            "--window-size", "30", "--hs-range", "2:2", "--layers-range", "1:1",
+            "--trials", "1", "--max-epochs", "1", "--batch-size", "512",
+            "--out-dir", str(out),
+        ) == 0
+        best = out / (out / "search_report.csv").read_text().splitlines()[1].split(",")[4]
+        assert run(
+            "calibrate", "--checkpoint", str(best), "--input", trace,
+            "--sensor", "temp_core", "--labels", labels, "--out-dir", str(tmp_path / "cal"),
+        ) == 0
+        assert run(
+            "detect", "--checkpoint", str(best), "--input", trace, "--sensor", "temp_core",
+            "--threshold", str(tmp_path / "cal" / "threshold.json"),
+            "--out-dir", str(tmp_path / "det"),
+        ) == 0
+
     def test_bad_range_is_usage_error(self, pipeline, tmp_path) -> None:
         assert run(
             "search", "--input", str(pipeline / "synth" / "trace.csv"),

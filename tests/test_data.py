@@ -176,14 +176,9 @@ class TestIngest:
         trace = minute_trace(vals)
         p = tmp_path / "out.csv"
         write_trace(p, trace)
-        back = ingest(p, hive_id="hive")
+        back = ingest(p)
         np.testing.assert_array_equal(back.timestamps, trace.timestamps)
         np.testing.assert_array_equal(back.sensor("temp_core"), vals)
-
-    def test_semicolon_delimiter(self, tmp_path):
-        p = self.write(tmp_path, "timestamp;t\n0;1.5\n60;2.5\n")
-        trace = ingest(p, delimiter=";")
-        np.testing.assert_allclose(trace.sensor("t"), [1.5, 2.5])
 
 
 class TestAutoLabel:

@@ -234,7 +234,7 @@ def test_write_trace_golden_bytes(tmp_path, delimiter) -> None:
         f"2021-06-01T00:01:00+00:00{d}{d}50.0\r\n"
         f"2021-06-02T00:00:59+00:00{d}-1.25{d}0.1\r\n"
     ).encode("utf-8")
-    back = ingest(p, delimiter=delimiter)
+    back = ingest(p)
     assert back.metadata["parser"] == "block"
     np.testing.assert_array_equal(back.timestamps, _golden_trace().timestamps)
     np.testing.assert_array_equal(back.values, _golden_trace().values)

@@ -178,13 +178,13 @@ class TestDetectionEventType:
 class TestScoreTrace:
     def test_short_trace_empty(self):
         model = blind_model(window_size=60)
-        scores = score_trace(model, minute_trace(np.full(30, 34.5)), "temp_core", IDENT)
+        scores = score_trace(model, minute_trace(np.full(30, 34.5)), "temp_core")
         assert len(scores.errors) == 0
         assert scores.gaps == []
 
     def test_one_score_per_window(self):
         model = blind_model(window_size=4)
-        scores = score_trace(model, minute_trace(np.zeros(10)), "temp_core", IDENT)
+        scores = score_trace(model, minute_trace(np.zeros(10)), "temp_core")
         assert len(scores.errors) == 7
         np.testing.assert_array_equal(scores.start_ts, 60 * np.arange(7))
         assert np.all(np.diff(scores.start_ts) > 0)
@@ -192,7 +192,7 @@ class TestScoreTrace:
     def test_blind_model_error_is_mean_square(self):
         model = blind_model(window_size=4)
         vals = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        scores = score_trace(model, minute_trace(vals), "temp_core", IDENT)
+        scores = score_trace(model, minute_trace(vals), "temp_core")
         np.testing.assert_allclose(
             scores.errors, [np.mean(vals[:4] ** 2), np.mean(vals[1:] ** 2)]
         )
@@ -200,7 +200,7 @@ class TestScoreTrace:
     def test_missing_minute_drops_windows_and_reports_gap(self):
         vals = np.full(20, 1.0)
         vals[10] = np.nan
-        scores = score_trace(blind_model(4), minute_trace(vals), "temp_core", IDENT)
+        scores = score_trace(blind_model(4), minute_trace(vals), "temp_core")
         # runs of 10 and 9 readings -> 7 + 6 windows
         assert len(scores.errors) == 13
         assert scores.gaps == [(600, 660)]
@@ -218,7 +218,7 @@ class TestScoreTrace:
             timestamps=ts,
             values=np.ones((1, 12)),
         )
-        scores = score_trace(blind_model(4), trace, "temp_core", IDENT)
+        scores = score_trace(blind_model(4), trace, "temp_core")
         assert scores.gaps == [(360, 960)]
 
     def test_model_norm_used_when_params_omitted(self):

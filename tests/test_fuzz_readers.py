@@ -1,4 +1,4 @@
-"""Mutated side files through the command line: exit 0 or 3, never worse.
+"""Mutated side files and checkpoints through the command line.
 
 Each small-file reader gets a valid file that one command accepts, then
 Hypothesis mutates its bytes: truncation, byte flips, inserted non-UTF-8
@@ -7,14 +7,23 @@ out-of-range one. The README's exit-code contract must hold for every
 case: the command exits 0, or 3 with exactly one `error:` line, and never
 prints a traceback. A threshold `detect` accepts must also write back as
 strict JSON.
+
+Checkpoints get mutations that each leave no valid model: a broken magic
+or header length, a header field removed or given a wrong type or an
+out-of-range value, and array data truncated, extended or made
+non-finite. `detect` and `calibrate` must refuse every one with exit 2
+or 3 and exactly one `error:` line, warnings included.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
 import re
+import struct
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import date
 from pathlib import Path
@@ -44,6 +53,7 @@ from hivewatch.detector import (
     write_threshold,
 )
 from hivewatch.nn import init_model, save_model
+from hivewatch.nn.checkpoint import MAGIC
 
 #: Examples per reader: fixed, and drawn from a fixed seed, so the suite
 #: runs the same cases in the same time on every run.
@@ -189,5 +199,162 @@ def test_mutated_file_exits_zero_or_three(inputs, reader, tmp_path) -> None:
                 write_threshold(Path(tmp) / "again.json", read_threshold(side))
                 json.loads((Path(tmp) / "again.json").read_text(encoding="utf-8"),
                            parse_constant=reject_constant)
+
+    check()
+
+
+# ---------------------------------------------------------------------------
+# Checkpoints
+
+#: Header field (a path into the JSON header) -> values that make it
+#: invalid; None as a value is JSON null, `DELETE` removes the field.
+#: No value is valid for the field it replaces, alone or with others.
+DELETE = object()
+BIG = 2**64
+HEADER_FIELDS = {
+    ("version",): [DELETE, "v2", None, 1],
+    ("hyper",): [DELETE, None, [], "hyper"],
+    ("hyper", "hidden_size"): [DELETE, None, True, "2", 2.0, 1, 3, 65, -1, BIG],
+    ("hyper", "n_layers"): [DELETE, None, True, "1", 1.0, 0, 2, 5, BIG],
+    ("hyper", "window_size"): [DELETE, None, True, "10", 10.0, 1, 0, -1],
+    ("hyper", "seed"): [DELETE, None, True, "0", 0.5],
+    ("norm",): [None, [], "norm", 1, {}],
+    ("norm", "mean"): [DELETE, None, True, "34.5", math.nan, math.inf, 1e308, 10**400],
+    ("norm", "std"): [DELETE, None, 0, -0.2, math.nan, math.inf, 1e-320, 10**400],
+    ("arrays",): [DELETE, None, [], {}, "arrays"],
+    ("arrays", 0, "name"): [DELETE, None, 1, "", "encoder.9.W"],
+    ("arrays", 0, "shape"): [DELETE, None, "8", [], [-1], [1.0], [0], [1, 1, 1], [9, 1],
+                             [2**62, 2**62], [BIG]],
+}
+#: Array entries a name or shape mutation may hit (the tiny model has eight).
+N_ARRAYS = 8
+
+
+def split_checkpoint(raw: bytes) -> tuple[dict, bytes]:
+    (length,) = struct.unpack_from("<I", raw, len(MAGIC))
+    start = len(MAGIC) + 4
+    return json.loads(raw[start : start + length]), raw[start + length :]
+
+
+def join_checkpoint(header: dict, body: bytes) -> bytes:
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return MAGIC + struct.pack("<I", len(blob)) + blob + body
+
+
+def checkpoint_mutations(raw: bytes):
+    """One to three header-field mutations, or one byte-level mutation."""
+    _, body = split_checkpoint(raw)
+    length = len(raw) - len(body) - len(MAGIC) - 4
+    field = st.sampled_from(sorted(HEADER_FIELDS, key=str)).flatmap(
+        lambda path: st.tuples(
+            st.just("field"),
+            st.just(path),
+            st.integers(0, N_ARRAYS - 1),
+            st.sampled_from(range(len(HEADER_FIELDS[path]))),
+        )
+    )
+    byte = st.one_of(
+        st.tuples(st.just("magic"), st.integers(0, len(MAGIC) - 1), st.integers(1, 255)),
+        st.tuples(st.just("length"), st.sampled_from(
+            [0, 1, length - 1, length + 1, len(raw), 2**32 - 1])),
+        st.tuples(st.just("truncate"), st.integers(0, len(raw) - 1)),
+        st.tuples(st.just("extend"), st.binary(min_size=1, max_size=16)),
+        st.tuples(st.just("non-finite"), st.integers(0, len(body) // 8 - 1),
+                  st.sampled_from([math.nan, math.inf, -math.inf])),
+    )
+    return st.one_of(st.lists(field, min_size=1, max_size=3), byte.map(lambda m: [m]))
+
+
+def set_field(header: dict, path: tuple, value) -> None:
+    """Set the field at `path`, or remove it for `DELETE`. A path that an
+    earlier mutation removed or retyped is left alone."""
+    *parents, last = path
+    node = header
+    try:
+        for key in parents:
+            node = node[key]
+        if value is DELETE:
+            del node[last]
+        else:
+            node[last] = value
+    except (KeyError, IndexError, TypeError):
+        pass
+
+
+def mutate_checkpoint(raw: bytes, mutations) -> bytes:
+    """`raw`, a valid checkpoint, with `checkpoint_mutations`' draw applied."""
+    header, body = split_checkpoint(raw)
+    for kind, *how in mutations:
+        if kind == "field":
+            path, entry, choice = how
+            value = HEADER_FIELDS[path][choice]
+            set_field(header, tuple(entry if key == 0 else key for key in path), value)
+            continue
+        raw = join_checkpoint(header, body)
+        if kind == "magic":
+            k, flip = how
+            return raw[:k] + bytes([raw[k] ^ flip]) + raw[k + 1 :]
+        if kind == "length":
+            return raw[: len(MAGIC)] + struct.pack("<I", how[0]) + raw[len(MAGIC) + 4 :]
+        if kind == "truncate":
+            return raw[: how[0]]
+        if kind == "extend":
+            return raw + how[0]
+        k, value = how  # non-finite
+        start = len(raw) - len(body) + 8 * k
+        return raw[:start] + struct.pack("<d", value) + raw[start + 8 :]
+    return join_checkpoint(header, body)
+
+
+def checkpoint_argv(command: str, inputs: dict[str, Path], model: Path, out: Path) -> list[str]:
+    side = {"detect": ["--threshold", str(inputs["threshold"])],
+            "calibrate": ["--splits", str(inputs["splits"])]}[command]
+    return [command, "--input", str(inputs["trace.csv"]), "--sensor", "temp_core",
+            "--checkpoint", str(model), *side, "--out-dir", str(out)]
+
+
+def assert_checkpoint_refused(command: str, inputs: dict[str, Path], data: bytes) -> None:
+    """Run `command` on a checkpoint holding `data`: exit 2 or 3, one
+    `error:` line, no traceback, and no warning (one would print its own
+    lines to stderr)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        model = Path(tmp) / "model.bin"
+        model.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(checkpoint_argv(command, inputs, model, Path(tmp) / "out"))
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    assert code in (2, 3), (code, err.getvalue())
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+@pytest.mark.parametrize("command", ["detect", "calibrate"])
+def test_every_header_field_value_refused(inputs, command, tmp_path) -> None:
+    """Each value of `HEADER_FIELDS` on its own, on the first and last
+    array entry where the field is an array's."""
+    raw = inputs["model.bin"].read_bytes()
+    assert mutate_checkpoint(raw, []) == raw
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert main(checkpoint_argv(command, inputs, inputs["model.bin"], tmp_path / "ok")) == 0
+    for path, values in HEADER_FIELDS.items():
+        for entry in (0, N_ARRAYS - 1) if path[0] == "arrays" and len(path) > 1 else (0,):
+            for choice in range(len(values)):
+                mutation = ("field", path, entry, choice)
+                try:
+                    assert_checkpoint_refused(command, inputs, mutate_checkpoint(raw, [mutation]))
+                except AssertionError as exc:
+                    raise AssertionError(f"{path}[{entry}] = {values[choice]!r}: {exc}") from exc
+
+
+@pytest.mark.parametrize("command", ["detect", "calibrate"])
+def test_mutated_checkpoint_exits_two_or_three(inputs, command) -> None:
+    raw = inputs["model.bin"].read_bytes()
+
+    @given(mutations=checkpoint_mutations(raw))
+    @settings(max_examples=EXAMPLES, deadline=None, derandomize=True, database=None)
+    def check(mutations) -> None:
+        assert_checkpoint_refused(command, inputs, mutate_checkpoint(raw, mutations))
 
     check()

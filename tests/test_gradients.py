@@ -88,11 +88,11 @@ class TestTimeInvariantInput:
         code = rng.normal(size=(5, 3))
         tiled = np.broadcast_to(code, (6, 5, 3))
         dH = rng.normal(size=(6, 5, 4))
-        H_view, _, _, cache_view = lstm_forward(layer, tiled)
-        H_copy, _, _, cache_copy = lstm_forward(layer, tiled.copy())
+        H_view, _, cache_view = lstm_forward(layer, tiled)
+        H_copy, _, cache_copy = lstm_forward(layer, tiled.copy())
         np.testing.assert_allclose(H_view, H_copy, rtol=1e-13, atol=1e-15)
-        dX_view, dh0_view, _, g_view = lstm_backward(layer, cache_view, dH)
-        dX_copy, dh0_copy, _, g_copy = lstm_backward(layer, cache_copy, dH)
+        dX_view, dh0_view, g_view = lstm_backward(layer, cache_view, dH)
+        dX_copy, dh0_copy, g_copy = lstm_backward(layer, cache_copy, dH)
         assert dX_view.shape == (1, 5, 3)
         np.testing.assert_allclose(dX_view[0], dX_copy.sum(axis=0), rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(dh0_view, dh0_copy, rtol=1e-12, atol=1e-14)

@@ -159,15 +159,15 @@ class TestForwardOnly:
         X = np.random.default_rng(1).normal(size=(7, 4, 2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            H, _, c, cache = lstm_forward(layer, X)
-            H_plain, _, c_plain, _ = lstm_forward(layer, X, keep_cache=False)
+            H, h, cache = lstm_forward(layer, X)
+            H_plain, h_plain, _ = lstm_forward(layer, X, keep_cache=False)
         i, f, o, g = np.split(cache.Z, 4, axis=1)  # rows [i, f, o, g]
         assert np.all(i == 1.0) and np.all(f == 0.0) and np.all(o == 1.0)
         # A closed forget gate and open input gate make c_t = g_t exactly.
         np.testing.assert_array_equal(cache.C, g)
         np.testing.assert_array_equal(H, np.tanh(g).transpose(0, 2, 1))
         np.testing.assert_array_equal(H_plain, H)
-        np.testing.assert_array_equal(c_plain, c)
+        np.testing.assert_array_equal(h_plain, h)
 
 
 class TestReconstructionErrors:
@@ -338,15 +338,15 @@ class TestParallelScoring:
         assert peak < 1.5 * T * hs * B * 8
 
 
-def unfused_lstm(layer, X, h0, c0):
+def unfused_lstm(layer, X, h0):
     """Per-step reference in the checkpoint's [i, f, g, o] gate order:
-    W x_t + U h + b, then the textbook gate algebra."""
+    W x_t + U h + b, then the textbook gate algebra, from a zero cell state."""
     hs = layer.hidden_size
 
     def sigmoid(v):
         return 1.0 / (1.0 + np.exp(-v))
 
-    h, c, H = h0, c0, []
+    h, c, H = h0, np.zeros_like(h0), []
     for x in X:
         z = x @ layer.W.T + h @ layer.U.T + layer.b
         i, f = sigmoid(z[:, :hs]), sigmoid(z[:, hs : 2 * hs])
@@ -354,7 +354,7 @@ def unfused_lstm(layer, X, h0, c0):
         c = f * c + i * g
         h = o * np.tanh(c)
         H.append(h)
-    return np.stack(H), h, c
+    return np.stack(H), h
 
 
 class TestStackedStep:
@@ -366,13 +366,12 @@ class TestStackedStep:
         layer = init_layer(D, hs, rng)
         layer.b += rng.normal(0.0, 0.5, size=layer.b.shape)
         X = rng.normal(size=(9, 7, D))
-        h0, c0 = rng.normal(0.0, 0.5, size=(7, hs)), rng.normal(size=(7, hs))
-        H, h, c, cache = lstm_forward(layer, X, h0=h0, c0=c0, keep_cache=keep_cache)
-        H_ref, h_ref, c_ref = unfused_lstm(layer, X, h0, c0)
+        h0 = rng.normal(0.0, 0.5, size=(7, hs))
+        H, h, cache = lstm_forward(layer, X, h0=h0, keep_cache=keep_cache)
+        H_ref, h_ref = unfused_lstm(layer, X, h0)
         assert (cache is not None) == keep_cache
         np.testing.assert_allclose(H, H_ref, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(h, h_ref, rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(c, c_ref, rtol=1e-12, atol=1e-15)
 
     def test_cache_free_pass_builds_no_sequence_sized_gate_block(self):
         """Scoring a 512-window chunk at hs 16 allocates less than one
@@ -397,10 +396,9 @@ class TestStability:
         rng = np.random.default_rng(5)
         layer = init_layer(1, 8, rng)
         X = rng.uniform(-3.0, 3.0, size=(10_000, 1, 1))
-        H, h, c, _ = lstm_forward(layer, X)
+        H, _, _ = lstm_forward(layer, X)
         assert np.isfinite(H).all()
         assert np.abs(H).max() < 1.0
-        assert np.isfinite(c).all()
 
 
 class TestReconstructionLoss:

@@ -7,11 +7,13 @@ import csv
 import numpy as np
 import pytest
 
+from hivewatch.data import NormalizationParams
 from hivewatch.errors import EmptyDataset, ExhaustedGrid, InvalidHyperparameter
 from hivewatch.nn import TrainConfig, load_model
 from hivewatch.search import SearchSpace, TrialResult, random_search, write_search_report
 
 FAST = TrainConfig(max_epochs=2, batch_size=8, seed=0)
+NORM = NormalizationParams(mean=34.5, std=0.5)
 
 
 def tiny_windows(n, w=8, seed=0):
@@ -43,33 +45,33 @@ class TestSearchSpace:
 class TestRandomSearch:
     def test_single_trial(self):
         space = SearchSpace(hs_range=(2, 4), n_range=(1, 1), trials=1, seed=5)
-        results = random_search(space, tiny_windows(16), tiny_windows(4), FAST)
+        results = random_search(space, tiny_windows(16), tiny_windows(4), NORM, FAST)
         assert len(results) == 1
         assert isinstance(results[0], TrialResult)
 
     def test_budget_above_grid_visits_every_cell_once(self):
         space = SearchSpace(hs_range=(2, 3), n_range=(1, 2), trials=50, seed=0)
-        results = random_search(space, tiny_windows(16), tiny_windows(4), FAST)
+        results = random_search(space, tiny_windows(16), tiny_windows(4), NORM, FAST)
         assert sorted((r.hs, r.n) for r in results) == [(2, 1), (2, 2), (3, 1), (3, 2)]
 
     def test_sorted_ascending_by_loss(self):
         space = SearchSpace(hs_range=(2, 4), n_range=(1, 2), trials=6, seed=1)
-        results = random_search(space, tiny_windows(24), tiny_windows(6), FAST)
+        results = random_search(space, tiny_windows(24), tiny_windows(6), NORM, FAST)
         losses = [r.best_val_loss for r in results]
         assert losses == sorted(losses)
         assert results[0].best_val_loss == min(losses)
 
     def test_sampled_pairs_inside_ranges(self):
         space = SearchSpace(hs_range=(3, 6), n_range=(1, 2), trials=5, seed=2)
-        for r in random_search(space, tiny_windows(16), tiny_windows(4), FAST):
+        for r in random_search(space, tiny_windows(16), tiny_windows(4), NORM, FAST):
             assert 3 <= r.hs <= 6
             assert 1 <= r.n <= 2
 
     def test_deterministic_for_equal_seeds(self):
         space = SearchSpace(hs_range=(2, 3), n_range=(1, 2), trials=3, seed=7)
         tw, vw = tiny_windows(16), tiny_windows(4)
-        a = random_search(space, tw, vw, FAST)
-        b = random_search(space, tw, vw, FAST)
+        a = random_search(space, tw, vw, NORM, FAST)
+        b = random_search(space, tw, vw, NORM, FAST)
         assert [(r.hs, r.n, r.best_val_loss) for r in a] == [
             (r.hs, r.n, r.best_val_loss) for r in b
         ]
@@ -79,14 +81,14 @@ class TestRandomSearch:
         (loss 0.0 for each trial), so ordering falls through to (hs, n)."""
         space = SearchSpace(hs_range=(2, 3), n_range=(1, 2), trials=4, seed=3)
         zeros = np.zeros((8, 8))
-        results = random_search(space, zeros, zeros[:, :2], FAST)
+        results = random_search(space, zeros, zeros[:, :2], NORM, FAST)
         assert all(r.best_val_loss == 0.0 for r in results)
         assert [(r.hs, r.n) for r in results] == [(2, 1), (2, 2), (3, 1), (3, 2)]
 
     def test_empty_windows(self):
         space = SearchSpace(hs_range=(2, 2), n_range=(1, 1), trials=1)
         with pytest.raises(EmptyDataset):
-            random_search(space, np.empty((8, 0)), tiny_windows(2), FAST)
+            random_search(space, np.empty((8, 0)), tiny_windows(2), NORM, FAST)
 
     def test_empty_grid(self):
         space = SearchSpace.__new__(SearchSpace)  # bypass range validation
@@ -95,17 +97,18 @@ class TestRandomSearch:
         object.__setattr__(space, "trials", 1)
         object.__setattr__(space, "seed", 0)
         with pytest.raises(ExhaustedGrid):
-            random_search(space, tiny_windows(4), tiny_windows(2), FAST)
+            random_search(space, tiny_windows(4), tiny_windows(2), NORM, FAST)
 
     def test_checkpoints_written(self, tmp_path):
         space = SearchSpace(hs_range=(2, 2), n_range=(1, 2), trials=2, seed=0)
         results = random_search(
-            space, tiny_windows(8), tiny_windows(2), FAST, out_dir=tmp_path
+            space, tiny_windows(8), tiny_windows(2), NORM, FAST, out_dir=tmp_path
         )
         for r in results:
             model = load_model(r.model_path)
             assert model.hidden_size == r.hs
             assert model.n_layers == r.n
+            assert model.norm == NORM
 
 
 class TestSearchReport:
