@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .correlation import POPULATIONS, CorrelationMatrix, pearson_matrix, write_correlation
+from .correlation import CorrelationMatrix, pearson_matrix, write_correlation
 from .synthetic import (
     ANOMALY_CLASSES,
     LAYOUTS,
@@ -17,7 +17,6 @@ __all__ = [
     "ANOMALY_CLASSES",
     "CorrelationMatrix",
     "LAYOUTS",
-    "POPULATIONS",
     "SPAN_MINUTES",
     "SynthConfig",
     "ambient_curve",

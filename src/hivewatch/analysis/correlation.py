@@ -9,9 +9,6 @@ import numpy as np
 
 from ..data import SensorTrace
 
-POPULATIONS = ("normal-days", "anomalous-days")
-
-
 @dataclass
 class CorrelationMatrix:
     """Symmetric sensor-by-sensor Pearson matrix; NaN marks undefined
@@ -19,26 +16,18 @@ class CorrelationMatrix:
 
     sensors: list[str]
     values: np.ndarray
-    population: str = "normal-days"
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=np.float64)
         k = len(self.sensors)
         if self.values.shape != (k, k):
             raise ValueError(f"matrix shape {self.values.shape} for {k} sensors")
-        if self.population not in POPULATIONS:
-            raise ValueError(f"population must be one of {POPULATIONS}")
 
     def r(self, a: str, b: str) -> float:
         return float(self.values[self.sensors.index(a), self.sensors.index(b)])
 
 
-def pearson_matrix(
-    trace: SensorTrace,
-    sensors: list[str],
-    days,
-    population: str = "normal-days",
-) -> CorrelationMatrix:
+def pearson_matrix(trace: SensorTrace, sensors: list[str], days) -> CorrelationMatrix:
     """Pearson r for every sensor pair, using only timestamps in `days`
     where both readings are present. Constant overlaps stay undefined
     rather than being forced to zero.
@@ -64,7 +53,7 @@ def pearson_matrix(
                 continue
             r = float(np.corrcoef(a, b)[0, 1])
             values[i, j] = values[j, i] = min(1.0, max(-1.0, r))
-    return CorrelationMatrix(sensors=list(sensors), values=values, population=population)
+    return CorrelationMatrix(sensors=list(sensors), values=values)
 
 
 def write_correlation(path, matrix: CorrelationMatrix) -> None:

@@ -134,12 +134,6 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise UsageError(f"bad range {text!r}: {exc}") from exc
 
 
-def _load_day_labels(args, trace) -> list[DayLabel]:
-    if args.labels:
-        return read_labels(args.labels)
-    return auto_label_days(trace, args.sensor)
-
-
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -176,7 +170,7 @@ def cmd_synth(args) -> int:
 
 
 def _prepare_training_windows(args, trace):
-    labels = _load_day_labels(args, trace)
+    labels = read_labels(args.labels) if args.labels else auto_label_days(trace, args.sensor)
     splits = build_splits(labels, validation_fraction=args.val_fraction)
     norm = fit_normalization(trace, args.sensor, splits.training)
     train_w = make_windows(
@@ -186,6 +180,15 @@ def _prepare_training_windows(args, trace):
         trace, args.sensor, splits.validation, args.window_size, args.stride, norm
     )
     return labels, splits, norm, train_w.matrix, val_w.matrix
+
+
+def _write_split(out: Path, labels, splits) -> list[Path]:
+    """The split and day labels a model was trained on, for `calibrate`."""
+    splits_path = out / "splits.txt"
+    write_splits(splits_path, splits)
+    labels_path = out / "labels_used.csv"
+    write_labels(labels_path, labels)
+    return [splits_path, labels_path]
 
 
 def _train_config(args) -> TrainConfig:
@@ -214,15 +217,12 @@ def cmd_train(args) -> int:
         fh.write("epoch,train_loss,val_loss\n")
         for s in result.history:
             fh.write(f"{s.epoch},{s.train_loss!r},{s.val_loss!r}\n")
-    splits_path = out / "splits.txt"
-    write_splits(splits_path, splits)
-    labels_path = out / "labels_used.csv"
-    write_labels(labels_path, labels)
+    split_paths = _write_split(out, labels, splits)
 
     _write_manifest(
         args,
         inputs=[args.input] + ([args.labels] if args.labels else []),
-        outputs=[model_path, history_path, splits_path, labels_path],
+        outputs=[model_path, history_path, *split_paths],
         trace=trace,
     )
     print(
@@ -234,7 +234,7 @@ def cmd_train(args) -> int:
 
 def cmd_search(args) -> int:
     trace = ingest(args.input)
-    _, _, norm, train_w, val_w = _prepare_training_windows(args, trace)
+    labels, splits, norm, train_w, val_w = _prepare_training_windows(args, trace)
     space = SearchSpace(
         hs_range=_parse_range(args.hs_range),
         n_range=_parse_range(args.layers_range),
@@ -245,8 +245,9 @@ def cmd_search(args) -> int:
     results = random_search(space, train_w, val_w, norm, _train_config(args), out_dir=out)
     report_path = out / "search_report.csv"
     write_search_report(report_path, results)
+    split_paths = _write_split(out, labels, splits)
 
-    outputs = [report_path] + [out / r.model_path for r in results if r.model_path]
+    outputs = [report_path, *split_paths] + [out / r.model_path for r in results if r.model_path]
     _write_manifest(
         args,
         inputs=[args.input] + ([args.labels] if args.labels else []),
@@ -270,17 +271,11 @@ def cmd_calibrate(args) -> int:
         print(f"manual threshold alpha={threshold.alpha!r} at {threshold_path}")
         return 0
 
-    if not (args.checkpoint and args.input):
-        raise UsageError("calibrate needs --checkpoint and --input (or --alpha)")
+    if not (args.checkpoint and args.input and args.splits):
+        raise UsageError("calibrate needs --checkpoint, --input and --splits (or --alpha)")
     model = load_model(args.checkpoint)
     trace = ingest(args.input)
-    if args.splits:
-        splits = read_splits(args.splits)
-    else:
-        labels = _load_day_labels(args, trace)
-        splits = build_splits(labels, validation_fraction=args.val_fraction)
-    if model.norm is None:
-        raise UsageError("checkpoint carries no normalization; cannot calibrate")
+    splits = read_splits(args.splits)
     val_w = make_windows(
         trace, args.sensor, splits.validation, model.window_size, args.stride, model.norm
     )
@@ -293,12 +288,12 @@ def cmd_calibrate(args) -> int:
     threshold_path = _out_dir(args) / "threshold.json"
     write_threshold(threshold_path, threshold)
 
-    inputs = [args.checkpoint, args.input]
-    if args.splits:
-        inputs.append(args.splits)
-    if args.labels:
-        inputs.append(args.labels)
-    _write_manifest(args, inputs=inputs, outputs=[threshold_path], trace=trace)
+    _write_manifest(
+        args,
+        inputs=[args.checkpoint, args.input, args.splits],
+        outputs=[threshold_path],
+        trace=trace,
+    )
     stats = threshold.calibration_stats
     extra = (
         f"; holdout exceedances {stats.holdout_exceedances}"
@@ -314,11 +309,6 @@ def cmd_calibrate(args) -> int:
 
 def cmd_detect(args) -> int:
     model = load_model(args.checkpoint)
-    if args.window_size is not None and args.window_size != model.window_size:
-        raise UsageError(
-            f"--window-size {args.window_size} does not match checkpoint "
-            f"window size {model.window_size}"
-        )
     if args.threshold:
         threshold = read_threshold(args.threshold)
     elif args.alpha is not None:
@@ -371,7 +361,7 @@ def cmd_corr(args) -> int:
         days = [l.day for l in read_labels(args.labels) if l.label == wanted]
     else:
         raise UsageError("corr needs --days or --labels to pick the day set")
-    matrix = pearson_matrix(trace, sensors, days, population=args.population)
+    matrix = pearson_matrix(trace, sensors, days)
 
     out = _out_dir(args)
     matrix_path = out / f"correlation_{args.population}.csv"
@@ -500,9 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="set the anomaly threshold")
     _add_common(p, input_required=False)
     p.add_argument("--checkpoint", default=None, help="trained model file")
-    p.add_argument("--splits", default=None, help="split file from train")
-    p.add_argument("--labels", default=None, help="day-label file (default: auto-label)")
-    p.add_argument("--val-fraction", type=float, default=0.1)
+    p.add_argument("--splits", default=None, help="split file from train or search")
     p.add_argument("--stride", type=int, default=1)
     p.add_argument("--quantile", type=float, default=1.0,
                    help="validation-error quantile (1.0 = maximum)")
@@ -515,8 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True, help="trained model file")
     p.add_argument("--threshold", default=None, help="threshold file from calibrate")
     p.add_argument("--alpha", type=float, default=None, help="manual threshold")
-    p.add_argument("--window-size", type=int, default=None,
-                   help="must match the checkpoint (default: checkpoint's)")
     p.add_argument("--stride", type=int, default=1)
     p.add_argument("--merge-gap", type=int, default=DEFAULT_MERGE_GAP_S,
                    help="seconds between hits merged into one event")
@@ -561,10 +547,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return 2
-    except InvalidHyperparameter as exc:
-        print(f"error: usage: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (InvalidHyperparameter, ValueError) as exc:
         print(f"error: usage: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except DATA_ERRORS as exc:

@@ -164,13 +164,12 @@ class DayLabel:
 
 @dataclass
 class SplitSet:
-    """Day-level partition: train/validate on normal days of the source hive,
-    hold out its anomalous days, test on other hives' anomalous days."""
+    """Day-level partition: train/validate on normal days, hold out the
+    anomalous days."""
 
     training: set
     validation: set
     holdout: set
-    test: dict
 
     def __post_init__(self) -> None:
         if self.training & self.validation:
@@ -495,13 +494,9 @@ def auto_label_days(trace: SensorTrace, sensor: str) -> list[DayLabel]:
     return labels
 
 
-def build_splits(
-    labels: list[DayLabel],
-    other_hives: dict[str, list[DayLabel]] | None = None,
-    validation_fraction: float = 0.1,
-) -> SplitSet:
+def build_splits(labels: list[DayLabel], validation_fraction: float = 0.1) -> SplitSet:
     """Chronological split of normal days into training/validation, plus
-    holdout (source-hive anomalous days) and test (other hives')."""
+    the anomalous days as holdout."""
     if not 0 < validation_fraction < 1:
         raise ValueError("validation_fraction must be in (0, 1)")
     normal = sorted(l.day for l in labels if l.label == "normal")
@@ -515,10 +510,6 @@ def build_splits(
         training=set(normal[:n_train]),
         validation=set(normal[n_train:]),
         holdout={l.day for l in labels if l.label == "anomalous"},
-        test={
-            hive: {l.day for l in hive_labels if l.label == "anomalous"}
-            for hive, hive_labels in (other_hives or {}).items()
-        },
     )
 
 
@@ -668,8 +659,6 @@ def write_splits(path, splits: SplitSet) -> None:
         fh.write(f"training={fmt(splits.training)}\n")
         fh.write(f"validation={fmt(splits.validation)}\n")
         fh.write(f"holdout={fmt(splits.holdout)}\n")
-        for hive in sorted(splits.test):
-            fh.write(f"test.{hive}={fmt(splits.test[hive])}\n")
 
 
 def read_splits(path) -> SplitSet:
@@ -678,7 +667,6 @@ def read_splits(path) -> SplitSet:
     path = Path(path)
     text = _read_text(path)
     fields = {"training": set(), "validation": set(), "holdout": set()}
-    test: dict[str, set] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or "=" not in line:
@@ -688,13 +676,10 @@ def read_splits(path) -> SplitSet:
             days = {date.fromisoformat(p) for p in rest.split(",") if p}
         except ValueError as exc:
             raise MalformedHeader(f"{path}:{lineno}: bad date in {key!r}: {exc}") from exc
-        if key.startswith("test."):
-            test[key[len("test."):]] = days
-        elif key in fields:
-            fields[key] = days
-        else:
+        if key not in fields:
             raise MalformedHeader(f"{path}:{lineno}: unknown split key {key!r}")
+        fields[key] = days
     try:
-        return SplitSet(test=test, **fields)
+        return SplitSet(**fields)
     except ValueError as exc:
         raise MalformedHeader(f"{path}: {exc}") from exc

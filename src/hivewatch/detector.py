@@ -168,7 +168,6 @@ class TraceScores:
     trace: SensorTrace
     sensor: str
     window_size: int
-    stride: int
     period_s: int
     start_ts: np.ndarray  # (n,) int64, ascending
     errors: np.ndarray  # (n,) float64
@@ -211,8 +210,6 @@ def score_trace(
     those spans come back in `gaps` instead so silence is never silently
     ignored.
     """
-    if model.norm is None:
-        raise ValueError("need normalization parameters (model.norm)")
     period = sample_period(trace) or 60
     windows = make_windows(
         trace,
@@ -228,7 +225,6 @@ def score_trace(
         trace=trace,
         sensor=sensor,
         window_size=model.window_size,
-        stride=stride,
         period_s=period,
         start_ts=windows.start_ts,
         errors=errors,

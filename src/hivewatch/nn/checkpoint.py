@@ -36,11 +36,7 @@ def save_model(path, model: AutoencoderModel) -> None:
             "n_layers": model.n_layers,
             "seed": model.seed,
         },
-        "norm": (
-            None
-            if model.norm is None
-            else {"mean": model.norm.mean, "std": model.norm.std}
-        ),
+        "norm": {"mean": model.norm.mean, "std": model.norm.std},
         "arrays": [{"name": k, "shape": list(v.shape)} for k, v in params.items()],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -84,12 +80,10 @@ def load_model(path) -> AutoencoderModel:
         and window_size >= 2
     ):
         raise CheckpointError(f"{path}: hyperparameters out of range: {hyper}")
-    norm = header.get("norm")
-    if norm is not None:
-        mean, std = _field(path, norm, "mean", float), _field(path, norm, "std", float)
-        if not (math.isfinite(mean) and math.isfinite(std) and std > 0):
-            raise CheckpointError(f"{path}: invalid normalization {norm}")
-        norm = NormalizationParams(mean, std)
+    norm = _field(path, header, "norm", dict)
+    mean, std = _field(path, norm, "mean", float), _field(path, norm, "std", float)
+    if not (math.isfinite(mean) and math.isfinite(std) and std > 0):
+        raise CheckpointError(f"{path}: invalid normalization {norm}")
 
     arrays: dict[str, np.ndarray] = {}
     offset = data_start
@@ -129,7 +123,7 @@ def load_model(path) -> AutoencoderModel:
             decoder_layers=[layer("decoder", k, hs) for k in range(n)],
             w_out=arrays["output.W"],
             b_out=arrays["output.b"],
-            norm=norm,
+            norm=NormalizationParams(mean, std),
             seed=seed,
         )
     except KeyError as exc:

@@ -13,7 +13,7 @@ import contextvars
 import functools
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,9 +43,8 @@ class AutoencoderModel:
     decoder_layers: list[LSTMLayerParams]
     w_out: np.ndarray  # (1, hs)
     b_out: np.ndarray  # (1,)
-    norm: NormalizationParams | None = None
+    norm: NormalizationParams
     seed: int = 0
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.w_out = np.asarray(self.w_out, dtype=np.float64)
@@ -67,7 +66,7 @@ def init_model(
     n: int,
     window_size: int,
     seed: int,
-    norm: NormalizationParams | None = None,
+    norm: NormalizationParams,
 ) -> AutoencoderModel:
     """Deterministically initialized model; same arguments, same bits.
 
@@ -141,7 +140,6 @@ def clone_model(model: AutoencoderModel) -> AutoencoderModel:
         ],
         w_out=model.w_out.copy(),
         b_out=model.b_out.copy(),
-        metadata=dict(model.metadata),
     )
 
 

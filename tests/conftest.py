@@ -16,6 +16,10 @@ from pathlib import Path
 import pytest
 
 from hivewatch.cli import main
+from hivewatch.data import NormalizationParams
+
+#: The normalization of test models that score already z-scored windows.
+IDENT_NORM = NormalizationParams(0.0, 1.0)
 
 E2E_SEED = 42
 E2E_MAX_EPOCHS = 6

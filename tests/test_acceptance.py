@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import E2E_ARTIFACTS, PipelineRun
+from conftest import E2E_ARTIFACTS, IDENT_NORM, PipelineRun
 from hivewatch.analysis import SynthConfig, generate, pearson_matrix
 from hivewatch.data import (
     SensorColumn,
@@ -73,7 +73,7 @@ def test_1_gradients_match_finite_differences() -> None:
         hs = int(rng.integers(2, 5))
         n = int(rng.integers(1, 3))
         w = int(rng.integers(4, 9))
-        model = init_model(hs, n, window_size=w, seed=trial)
+        model = init_model(hs, n, window_size=w, seed=trial, norm=IDENT_NORM)
         window = rng.normal(0.0, 1.0, w)
         analytic = backward(model, window)
         numeric = finite_difference_gradients(model, window)

@@ -5,12 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import IDENT_NORM
 from hivewatch.data import NormalizationParams
 from hivewatch.errors import CheckpointError
 from hivewatch.nn import init_model, load_model, model_parameters, save_model
 
 
-def roughened(seed=0, norm=None):
+def roughened(seed=0, norm=IDENT_NORM):
     model = init_model(5, 2, 12, seed=seed, norm=norm)
     rng = np.random.default_rng(seed + 100)
     for p in model_parameters(model).values():
@@ -31,11 +32,6 @@ class TestRoundTrip:
         assert back.norm == model.norm
         for name, arr in model_parameters(model).items():
             assert model_parameters(back)[name].tobytes() == arr.tobytes()
-
-    def test_norm_optional(self, tmp_path):
-        p = tmp_path / "model.bin"
-        save_model(p, roughened())
-        assert load_model(p).norm is None
 
     def test_identical_bytes_across_saves(self, tmp_path):
         """No timestamps or ambient state: saving twice gives equal files."""

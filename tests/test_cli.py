@@ -156,9 +156,27 @@ class TestSearch:
         best = lines[1].split(",")
         assert load_model(out / best[4]).hidden_size == int(best[0])
 
+    def test_writes_train_split(self, pipeline, tmp_path) -> None:
+        """For the flags `train` took, `search` writes the same split and
+        labels files, byte for byte."""
+        out = tmp_path / "search"
+        assert run(
+            "search", "--input", str(pipeline / "synth" / "trace.csv"),
+            "--sensor", "temp_core",
+            "--labels", str(pipeline / "synth" / "labels.csv"),
+            "--window-size", "30", "--hs-range", "4:4", "--layers-range", "1:1",
+            "--trials", "1", "--max-epochs", "1", "--batch-size", "256", "--seed", "1",
+            "--out-dir", str(out),
+        ) == 0
+        for name in ("splits.txt", "labels_used.csv"):
+            assert (out / name).read_bytes() == (pipeline / "train" / name).read_bytes()
+        manifest = json.loads((out / "search_manifest.json").read_text())
+        assert {"splits.txt", "labels_used.csv"} <= set(manifest["outputs"])
+
     def test_best_checkpoint_calibrates_and_detects(self, pipeline, tmp_path) -> None:
         """The best checkpoint a search writes carries its training
-        normalization, so calibrate and detect read it like train's."""
+        normalization, and the search writes the split it trained on, so
+        calibrate and detect read them like train's."""
         trace = str(pipeline / "synth" / "trace.csv")
         labels = str(pipeline / "synth" / "labels.csv")
         out = tmp_path / "search"
@@ -170,8 +188,8 @@ class TestSearch:
         ) == 0
         best = out / (out / "search_report.csv").read_text().splitlines()[1].split(",")[4]
         assert run(
-            "calibrate", "--checkpoint", str(best), "--input", trace,
-            "--sensor", "temp_core", "--labels", labels, "--out-dir", str(tmp_path / "cal"),
+            "calibrate", "--checkpoint", str(best), "--input", trace, "--sensor", "temp_core",
+            "--splits", str(out / "splits.txt"), "--out-dir", str(tmp_path / "cal"),
         ) == 0
         assert run(
             "detect", "--checkpoint", str(best), "--input", trace, "--sensor", "temp_core",
@@ -216,6 +234,18 @@ class TestCalibrate:
     def test_missing_inputs_is_usage_error(self, tmp_path) -> None:
         assert run("calibrate", "--out-dir", str(tmp_path / "c")) == 2
 
+    def test_needs_splits(self, pipeline, tmp_path, capsys) -> None:
+        """Calibration reads its validation days only from the split file
+        training wrote."""
+        out = tmp_path / "cal"
+        assert run(
+            "calibrate", "--checkpoint", str(pipeline / "train" / "model.bin"),
+            "--input", str(pipeline / "synth" / "trace.csv"), "--out-dir", str(out),
+        ) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: usage:"), err
+        assert not out.exists()
+
     def test_data_error_writes_nothing(self, pipeline, tmp_path, capsys) -> None:
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"not a checkpoint")
@@ -237,8 +267,10 @@ class TestCalibrate:
              "MalformedHeader: {path}: training and validation days overlap"),
             (b"training=2021-06-01\nvalidation=\xff\xfe\n",
              "FileUnreadable: {path}: not UTF-8 text"),
+            (b"training=2021-06-01\nvalidation=2021-06-02\nholdout=\ntest.h2=2021-06-03\n",
+             "MalformedHeader: {path}:4: unknown split key 'test.h2'"),
         ],
-        ids=["bad-date", "overlap", "not-utf8"],
+        ids=["bad-date", "overlap", "not-utf8", "test-population"],
     )
     def test_bad_split_file_is_data_error(self, pipeline, tmp_path, capsys, body, error):
         splits = tmp_path / "splits.txt"
@@ -272,13 +304,16 @@ class TestDetect:
         assert "events at" in capsys.readouterr().out
 
     def test_window_size_mismatch_writes_nothing(self, pipeline, tmp_path) -> None:
+        """The window size is the checkpoint's; detect takes no flag for it."""
         out = tmp_path / "det"
-        assert run(
-            "detect", "--input", str(pipeline / "synth" / "trace.csv"),
-            "--sensor", "temp_core",
-            "--checkpoint", str(pipeline / "train" / "model.bin"),
-            "--alpha", "0.5", "--window-size", "99", "--out-dir", str(out),
-        ) == 2
+        with pytest.raises(SystemExit) as exc:
+            run(
+                "detect", "--input", str(pipeline / "synth" / "trace.csv"),
+                "--sensor", "temp_core",
+                "--checkpoint", str(pipeline / "train" / "model.bin"),
+                "--alpha", "0.5", "--window-size", "99", "--out-dir", str(out),
+            )
+        assert exc.value.code == 2
         assert not out.exists()
 
     def test_needs_threshold_or_alpha(self, pipeline, tmp_path) -> None:
@@ -348,6 +383,24 @@ class TestBadCheckpoint:
         ) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: data: CheckpointError")
+
+    @pytest.mark.parametrize("mutate", [without("norm"), lambda doc: {**doc, "norm": None}],
+                             ids=["no-norm", "norm-null"])
+    @pytest.mark.parametrize("command", ["detect", "calibrate"])
+    def test_missing_norm_is_data_error(self, pipeline, tmp_path, capsys, command, mutate):
+        """A checkpoint always carries its normalization; one without it is
+        a bad file, not a bad command line."""
+        bad = tmp_path / "bad.bin"
+        rewrite_header(pipeline / "train" / "model.bin", bad, mutate)
+        side = (["--alpha", "0.5"] if command == "detect"
+                else ["--splits", str(pipeline / "train" / "splits.txt")])
+        assert run(
+            command, "--input", str(pipeline / "synth" / "trace.csv"),
+            "--sensor", "temp_core", "--checkpoint", str(bad), *side,
+            "--out-dir", str(tmp_path / "out"),
+        ) == 3
+        one_data_error(capsys, "CheckpointError")
+        assert not (tmp_path / "out").exists()
 
     @pytest.fixture
     def diverged(self, pipeline, tmp_path):

@@ -142,25 +142,11 @@ class TestPearsonMatrix:
         with pytest.raises(ValueError):
             pearson_matrix(trace, ["s0"], days_spanning(10))
 
-    def test_population_tag_carried(self) -> None:
-        rng = np.random.default_rng(42)
-        vals = rng.normal(0.0, 1.0, size=(2, 50))
-        m = pearson_matrix(
-            make_trace(vals), ["s0", "s1"], days_spanning(50), population="anomalous-days"
-        )
-        assert m.population == "anomalous-days"
-
 
 class TestCorrelationMatrixType:
     def test_shape_validated(self) -> None:
         with pytest.raises(ValueError):
             CorrelationMatrix(sensors=["a", "b"], values=np.zeros((3, 3)))
-
-    def test_population_vocabulary(self) -> None:
-        with pytest.raises(ValueError):
-            CorrelationMatrix(
-                sensors=["a", "b"], values=np.eye(2), population="weekends"
-            )
 
 
 class TestWriteCorrelation:

@@ -240,12 +240,6 @@ class TestBuildSplits:
         assert len(splits.holdout) == 2
         assert splits.holdout.isdisjoint(splits.training | splits.validation)
 
-    def test_other_hives_become_test_sets(self):
-        other = {"h2": self.labels(1, n_anom=3)}
-        splits = build_splits(self.labels(5), other_hives=other)
-        assert set(splits.test) == {"h2"}
-        assert len(splits.test["h2"]) == 3
-
     def test_tiny_sets_keep_both_splits_nonempty(self):
         splits = build_splits(self.labels(2), validation_fraction=0.1)
         assert len(splits.training) == 1 and len(splits.validation) == 1
@@ -441,7 +435,6 @@ class TestSplitFiles:
             training={date(2021, 6, 1), date(2021, 6, 2)},
             validation={date(2021, 6, 3)},
             holdout={date(2021, 6, 9)},
-            test={"h2": {date(2021, 7, 1)}},
         )
         p = tmp_path / "splits.txt"
         write_splits(p, splits)
@@ -449,4 +442,3 @@ class TestSplitFiles:
         assert back.training == splits.training
         assert back.validation == splits.validation
         assert back.holdout == splits.holdout
-        assert back.test == splits.test

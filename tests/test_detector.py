@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import IDENT_NORM
 from hivewatch.data import NormalizationParams, SensorColumn, SensorTrace
 from hivewatch.detector import (
     CalibrationStats,
@@ -31,10 +32,8 @@ from hivewatch.detector import (
 from hivewatch.errors import EmptyValidation, LengthMismatch
 from hivewatch.nn import init_model, model_parameters, set_model_parameters
 
-IDENT = NormalizationParams(mean=0.0, std=1.0)
 
-
-def blind_model(window_size=4, norm=IDENT):
+def blind_model(window_size=4, norm=IDENT_NORM):
     """Model that reconstructs every window as zeros."""
     model = init_model(2, 1, window_size, seed=0, norm=norm)
     set_model_parameters(
@@ -226,11 +225,6 @@ class TestScoreTrace:
         scores = score_trace(model, minute_trace(np.full(4, 3.0)), "temp_core")
         np.testing.assert_allclose(scores.errors, [1.0])  # ((3-1)/2)^2
 
-    def test_params_required_somewhere(self):
-        model = blind_model(4, norm=None)
-        with pytest.raises(ValueError, match="normalization"):
-            score_trace(model, minute_trace(np.zeros(4)), "temp_core")
-
 
 def synthetic_scores(errors, gaps=(), period=60, window_size=4, trace_values=None):
     """Hand-built TraceScores over consecutive minute-start windows."""
@@ -243,7 +237,6 @@ def synthetic_scores(errors, gaps=(), period=60, window_size=4, trace_values=Non
         trace=trace,
         sensor="temp_core",
         window_size=window_size,
-        stride=1,
         period_s=period,
         start_ts=60 * np.arange(n, dtype=np.int64),
         errors=errors,

@@ -11,8 +11,8 @@ strict JSON.
 Checkpoints get mutations that each leave no valid model: a broken magic
 or header length, a header field removed or given a wrong type or an
 out-of-range value, and array data truncated, extended or made
-non-finite. `detect` and `calibrate` must refuse every one with exit 2
-or 3 and exactly one `error:` line, warnings included.
+non-finite. `detect` and `calibrate` must refuse every one as a data
+error, exit 3 with exactly one `error: data:` line, warnings included.
 """
 
 from __future__ import annotations
@@ -149,7 +149,7 @@ def write_inputs(root: Path) -> dict[str, Path]:
         ),
     ))
     write_splits(paths["splits"], SplitSet(
-        training={DAY1}, validation={DAY2}, holdout={DAY1}, test={"other": {DAY2}},
+        training={DAY1}, validation={DAY2}, holdout={DAY1},
     ))
     return paths
 
@@ -218,7 +218,7 @@ HEADER_FIELDS = {
     ("hyper", "n_layers"): [DELETE, None, True, "1", 1.0, 0, 2, 5, BIG],
     ("hyper", "window_size"): [DELETE, None, True, "10", 10.0, 1, 0, -1],
     ("hyper", "seed"): [DELETE, None, True, "0", 0.5],
-    ("norm",): [None, [], "norm", 1, {}],
+    ("norm",): [DELETE, None, [], "norm", 1, {}],
     ("norm", "mean"): [DELETE, None, True, "34.5", math.nan, math.inf, 1e308, 10**400],
     ("norm", "std"): [DELETE, None, 0, -0.2, math.nan, math.inf, 1e-320, 10**400],
     ("arrays",): [DELETE, None, [], {}, "arrays"],
@@ -314,9 +314,9 @@ def checkpoint_argv(command: str, inputs: dict[str, Path], model: Path, out: Pat
 
 
 def assert_checkpoint_refused(command: str, inputs: dict[str, Path], data: bytes) -> None:
-    """Run `command` on a checkpoint holding `data`: exit 2 or 3, one
-    `error:` line, no traceback, and no warning (one would print its own
-    lines to stderr)."""
+    """Run `command` on a checkpoint holding `data`: exit 3, one
+    `error: data:` line, no traceback, and no warning (one would print its
+    own lines to stderr)."""
     with tempfile.TemporaryDirectory() as tmp:
         model = Path(tmp) / "model.bin"
         model.write_bytes(data)
@@ -325,9 +325,9 @@ def assert_checkpoint_refused(command: str, inputs: dict[str, Path], data: bytes
             warnings.simplefilter("error")
             code = main(checkpoint_argv(command, inputs, model, Path(tmp) / "out"))
     assert "Traceback" not in out.getvalue() + err.getvalue()
-    assert code in (2, 3), (code, err.getvalue())
+    assert code == 3, (code, err.getvalue())
     lines = err.getvalue().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert len(lines) == 1 and lines[0].startswith("error: data: "), lines
 
 
 @pytest.mark.parametrize("command", ["detect", "calibrate"])

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import IDENT_NORM
 from hivewatch.nn import (
     backward,
     forward,
@@ -49,7 +50,7 @@ def relative_error(a: np.ndarray, b: np.ndarray) -> float:
 def roughened_model(hs, n, w, seed):
     """Init model with weights nudged off the tame starting point so gate
     activations cover their ranges instead of hovering near 0.5."""
-    model = init_model(hs, n, w, seed=seed)
+    model = init_model(hs, n, w, seed=seed, norm=IDENT_NORM)
     rng = np.random.default_rng(seed + 1)
     for p in model_parameters(model).values():
         p += rng.normal(0.0, 0.3, size=p.shape)
@@ -106,7 +107,7 @@ class TestGradientStructure:
         output-bias gradient (the summed residual) is zero."""
         from hivewatch.nn import set_model_parameters
 
-        model = init_model(4, 1, 12, seed=0)
+        model = init_model(4, 1, 12, seed=0, norm=IDENT_NORM)
         set_model_parameters(
             model, {k: np.zeros_like(p) for k, p in model_parameters(model).items()}
         )
@@ -130,7 +131,7 @@ class TestGradientStructure:
         np.testing.assert_allclose(g2["output.W"], 2.0 * g1["output.W"], rtol=1e-9)
 
     def test_gradient_shapes_mirror_parameters(self):
-        model = init_model(5, 2, 7, seed=2)
+        model = init_model(5, 2, 7, seed=2, norm=IDENT_NORM)
         grads = backward(model, np.ones(7))
         for name, p in model_parameters(model).items():
             assert grads[name].shape == p.shape

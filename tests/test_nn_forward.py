@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import IDENT_NORM
 import hivewatch.nn.model as nn_model
 from hivewatch.detector import window_errors
 from hivewatch.errors import CheckpointError, InvalidHyperparameter, LengthMismatch
@@ -40,32 +41,32 @@ RAMP_GOLDEN_TAIL = [-0.022259996433492024, -0.022255335756094223]
 
 class TestInit:
     def test_deterministic_for_equal_seeds(self):
-        a = init_model(2, 1, 60, seed=7)
-        b = init_model(2, 1, 60, seed=7)
+        a = init_model(2, 1, 60, seed=7, norm=IDENT_NORM)
+        b = init_model(2, 1, 60, seed=7, norm=IDENT_NORM)
         for name, arr in model_parameters(a).items():
             np.testing.assert_array_equal(arr, model_parameters(b)[name])
 
     def test_different_seeds_differ(self):
-        a = init_model(4, 1, 8, seed=0)
-        b = init_model(4, 1, 8, seed=1)
+        a = init_model(4, 1, 8, seed=0, norm=IDENT_NORM)
+        b = init_model(4, 1, 8, seed=1, norm=IDENT_NORM)
         assert not np.array_equal(a.encoder_layers[0].W, b.encoder_layers[0].W)
 
     @pytest.mark.parametrize("hs", [1, 0, 65, 100])
     def test_hidden_size_bounds(self, hs):
         with pytest.raises(InvalidHyperparameter):
-            init_model(hs, 1, 8, seed=0)
+            init_model(hs, 1, 8, seed=0, norm=IDENT_NORM)
 
     @pytest.mark.parametrize("n", [0, 5])
     def test_layer_count_bounds(self, n):
         with pytest.raises(InvalidHyperparameter):
-            init_model(8, n, 8, seed=0)
+            init_model(8, n, 8, seed=0, norm=IDENT_NORM)
 
     def test_boundary_hyperparameters_accepted(self):
-        init_model(2, 1, 2, seed=0)
-        init_model(64, 4, 8, seed=0)
+        init_model(2, 1, 2, seed=0, norm=IDENT_NORM)
+        init_model(64, 4, 8, seed=0, norm=IDENT_NORM)
 
     def test_forget_gate_bias_starts_open(self):
-        model = init_model(6, 2, 8, seed=3)
+        model = init_model(6, 2, 8, seed=3, norm=IDENT_NORM)
         for layer in (*model.encoder_layers, *model.decoder_layers):
             hs = layer.hidden_size
             np.testing.assert_array_equal(layer.b[hs : 2 * hs], np.ones(hs))
@@ -73,7 +74,7 @@ class TestInit:
             np.testing.assert_array_equal(layer.b[2 * hs :], np.zeros(2 * hs))
 
     def test_weight_range(self):
-        model = init_model(16, 1, 8, seed=5)
+        model = init_model(16, 1, 8, seed=5, norm=IDENT_NORM)
         bound = 1.0 / 4.0
         for layer in (*model.encoder_layers, *model.decoder_layers):
             assert np.abs(layer.W).max() <= bound
@@ -81,7 +82,7 @@ class TestInit:
         assert np.abs(model.w_out).max() <= bound
 
     def test_layer_shapes(self):
-        model = init_model(8, 3, 20, seed=0)
+        model = init_model(8, 3, 20, seed=0, norm=IDENT_NORM)
         assert model.encoder_layers[0].W.shape == (32, 1)
         assert model.encoder_layers[1].W.shape == (32, 8)
         assert model.decoder_layers[0].W.shape == (32, 8)
@@ -92,7 +93,7 @@ class TestForward:
     def test_output_length_matches_input(self):
         rng = np.random.default_rng(0)
         for hs, n, w in [(2, 1, 4), (8, 2, 16), (4, 4, 10)]:
-            model = init_model(hs, n, w, seed=1)
+            model = init_model(hs, n, w, seed=1, norm=IDENT_NORM)
             y = forward(model, rng.normal(size=w))
             assert y.shape == (w,)
             assert np.isfinite(y).all()
@@ -101,7 +102,7 @@ class TestForward:
         """With every weight and bias zero the gate algebra collapses:
         the cell candidate tanh(0) kills the state, and the zero output
         projection kills whatever is left."""
-        model = init_model(4, 2, 12, seed=9)
+        model = init_model(4, 2, 12, seed=9, norm=IDENT_NORM)
         set_model_parameters(
             model, {k: np.zeros_like(p) for k, p in model_parameters(model).items()}
         )
@@ -112,22 +113,22 @@ class TestForward:
         """Freshly initialized models leave the cell candidate bias at
         zero, so a zero window never excites the state: the seed-7
         reconstruction of 60 zeros is exactly 60 zeros."""
-        model = init_model(4, 1, 60, seed=7)
+        model = init_model(4, 1, 60, seed=7, norm=IDENT_NORM)
         np.testing.assert_array_equal(forward(model, np.zeros(60)), np.zeros(60))
 
     def test_ramp_golden_snapshot(self):
-        model = init_model(4, 1, 60, seed=7)
+        model = init_model(4, 1, 60, seed=7, norm=IDENT_NORM)
         y = forward(model, np.linspace(-1.0, 1.0, 60))
         np.testing.assert_allclose(y[:4], RAMP_GOLDEN_HEAD, rtol=1e-10)
         np.testing.assert_allclose(y[-2:], RAMP_GOLDEN_TAIL, rtol=1e-10)
 
     def test_length_mismatch(self):
-        model = init_model(2, 1, 8, seed=0)
+        model = init_model(2, 1, 8, seed=0, norm=IDENT_NORM)
         with pytest.raises(LengthMismatch):
             forward(model, np.zeros(7))
 
     def test_forward_is_pure(self):
-        model = init_model(3, 1, 6, seed=4)
+        model = init_model(3, 1, 6, seed=4, norm=IDENT_NORM)
         before = {k: p.copy() for k, p in model_parameters(model).items()}
         forward(model, np.ones(6))
         for k, p in model_parameters(model).items():
@@ -138,7 +139,7 @@ class TestForwardOnly:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_cache_free_output_is_bit_identical(self, n):
         """Scoring skips the backward cache; it must not change a bit."""
-        model = init_model(5, n, 12, seed=n)
+        model = init_model(5, n, 12, seed=n, norm=IDENT_NORM)
         rng = np.random.default_rng(n)
         for p in model_parameters(model).values():
             p += rng.normal(0.0, 0.5, size=p.shape)
@@ -179,7 +180,7 @@ class TestReconstructionErrors:
         edges: both at the full batch and at half of it, the narrowest chunk
         the balanced split makes. A width-1 batch rounds differently in the last bit, so the
         comparison is at rtol 1e-12, not bit for bit."""
-        model = init_model(4, 1, 6, seed=n)
+        model = init_model(4, 1, 6, seed=n, norm=IDENT_NORM)
         X = np.random.default_rng(n).normal(size=(6, n))
         want = [np.mean((forward(model, X[:, j]) - X[:, j]) ** 2) for j in range(n)]
         got = reconstruction_errors(model, X)
@@ -187,7 +188,7 @@ class TestReconstructionErrors:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_no_windows_give_empty_result(self):
-        got = reconstruction_errors(init_model(4, 1, 6, seed=0), np.empty((6, 0)))
+        got = reconstruction_errors(init_model(4, 1, 6, seed=0, norm=IDENT_NORM), np.empty((6, 0)))
         assert got.shape == (0,)
 
 
@@ -208,7 +209,7 @@ class TestParallelScoring:
 
     @staticmethod
     def case(n):
-        model = init_model(16, 1, 60, seed=3)
+        model = init_model(16, 1, 60, seed=3, norm=IDENT_NORM)
         return model, np.random.default_rng(n).normal(size=(60, n))
 
     @pytest.mark.parametrize("n", PARALLEL_NS)
@@ -266,7 +267,7 @@ class TestParallelScoring:
     def test_concurrent_callers_share_the_pool(self):
         """More callers than CPUs, switching threads every microsecond:
         each still gets its own matrix's errors, and none hangs."""
-        model = init_model(4, 1, 12, seed=1)
+        model = init_model(4, 1, 12, seed=1, norm=IDENT_NORM)
         inputs = [np.random.default_rng(k).normal(size=(12, 1381 + k)) for k in range(6)]
         want = [serial_errors(model, X) for X in inputs]
         got = [None] * len(inputs)
@@ -327,7 +328,7 @@ class TestParallelScoring:
         output, which is freed before the decoder builds its own: the
         peak stays well under two such blocks."""
         T, B, hs = 60, 512, 16
-        model = init_model(hs, 1, T, seed=0)
+        model = init_model(hs, 1, T, seed=0, norm=IDENT_NORM)
         X = np.random.default_rng(1).normal(size=(T, B))
         tracemalloc.start()
         try:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import IDENT_NORM
 from hivewatch.detector import window_errors
 from hivewatch.errors import EmptyDataset
 from hivewatch.nn import (
@@ -25,7 +26,7 @@ def level_windows(rng, n, w=16, noise=0.05):
 
 class TestTrain:
     def test_zero_windows_reach_tiny_loss(self):
-        model = init_model(8, 1, 16, seed=3)
+        model = init_model(8, 1, 16, seed=3, norm=IDENT_NORM)
         result = train(
             model,
             np.zeros((16, 32)),
@@ -40,7 +41,7 @@ class TestTrain:
         levels, i.e. the model encodes more than the global mean."""
         rng = np.random.default_rng(7)
         t = train(
-            init_model(8, 1, 16, seed=1),
+            init_model(8, 1, 16, seed=1, norm=IDENT_NORM),
             level_windows(rng, 200),
             level_windows(rng, 40),
             TrainConfig(max_epochs=40, batch_size=32, seed=0),
@@ -52,7 +53,7 @@ class TestTrain:
         rng = np.random.default_rng(2)
         windows = level_windows(rng, 24)
         result = train(
-            init_model(4, 1, 16, seed=0),
+            init_model(4, 1, 16, seed=0, norm=IDENT_NORM),
             windows,
             windows,
             TrainConfig(max_epochs=30, patience=1, seed=0),
@@ -66,8 +67,8 @@ class TestTrain:
         rng = np.random.default_rng(4)
         tw, vw = level_windows(rng, 40), level_windows(rng, 10)
         config = TrainConfig(max_epochs=5, batch_size=8, seed=9)
-        a = train(init_model(4, 1, 16, seed=2), tw, vw, config)
-        b = train(init_model(4, 1, 16, seed=2), tw, vw, config)
+        a = train(init_model(4, 1, 16, seed=2, norm=IDENT_NORM), tw, vw, config)
+        b = train(init_model(4, 1, 16, seed=2, norm=IDENT_NORM), tw, vw, config)
         for name, arr in model_parameters(a.model).items():
             assert arr.tobytes() == model_parameters(b.model)[name].tobytes()
         assert [h.val_loss for h in a.history] == [h.val_loss for h in b.history]
@@ -78,7 +79,7 @@ class TestTrain:
         rng = np.random.default_rng(6)
         tw, vw = level_windows(rng, 60), level_windows(rng, 15)
         result = train(
-            init_model(4, 1, 16, seed=1),
+            init_model(4, 1, 16, seed=1, norm=IDENT_NORM),
             tw,
             vw,
             TrainConfig(max_epochs=15, patience=3, seed=0),
@@ -92,12 +93,12 @@ class TestTrain:
         """Validation and scoring share one path: the validation loss is
         exactly the mean of the errors `detect` would score."""
         rng = np.random.default_rng(8)
-        model = init_model(4, 1, 16, seed=3)
+        model = init_model(4, 1, 16, seed=3, norm=IDENT_NORM)
         ws = level_windows(rng, 700)
         assert evaluate(model, ws) == float(np.mean(window_errors(model, ws)))
 
     def test_input_model_untouched(self):
-        model = init_model(4, 1, 16, seed=5)
+        model = init_model(4, 1, 16, seed=5, norm=IDENT_NORM)
         before = {k: p.copy() for k, p in model_parameters(model).items()}
         rng = np.random.default_rng(8)
         train(model, level_windows(rng, 16), level_windows(rng, 4), TrainConfig(max_epochs=2))
@@ -105,7 +106,7 @@ class TestTrain:
             np.testing.assert_array_equal(arr, before[name])
 
     def test_empty_dataset_rejected(self):
-        model = init_model(4, 1, 16, seed=0)
+        model = init_model(4, 1, 16, seed=0, norm=IDENT_NORM)
         wins = np.zeros((16, 1))
         with pytest.raises(EmptyDataset):
             train(model, np.empty((16, 0)), wins)
@@ -115,7 +116,7 @@ class TestTrain:
     def test_loss_history_recorded_per_epoch(self):
         rng = np.random.default_rng(3)
         result = train(
-            init_model(4, 1, 16, seed=0),
+            init_model(4, 1, 16, seed=0, norm=IDENT_NORM),
             level_windows(rng, 16),
             level_windows(rng, 4),
             TrainConfig(max_epochs=4, patience=10, seed=0),
