@@ -7,6 +7,15 @@ and correlation analysis, all behind one `hivewatch` command.
 
 from __future__ import annotations
 
+import os
+
+# One BLAS thread unless the user chose otherwise. Scoring runs its own
+# worker thread per extra CPU, and at these matrix sizes BLAS threads only
+# compete with it. OpenBLAS reads the variables once, when NumPy first
+# loads, so they are set before the first import below reaches NumPy.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 __version__ = "0.1.0"
 
 from .data import (

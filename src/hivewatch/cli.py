@@ -17,6 +17,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -55,7 +56,7 @@ from .detector import (
     write_events,
     write_threshold,
 )
-from .errors import DATA_ERRORS, InvalidHyperparameter, UsageError
+from .errors import DATA_ERRORS, InvalidHyperparameter, SplitMismatch, UsageError
 from .nn import TrainConfig, init_model, load_model, save_model, train
 from .rba import RbaConfig, rba_detect
 from .search import SearchSpace, random_search, write_search_report
@@ -182,13 +183,15 @@ def _prepare_training_windows(args, trace):
     return labels, splits, norm, train_w.matrix, val_w.matrix
 
 
-def _write_split(out: Path, labels, splits) -> list[Path]:
-    """The split and day labels a model was trained on, for `calibrate`."""
+def _write_split(out: Path, labels, splits) -> tuple[list[Path], str]:
+    """The split and day labels a model was trained on, for `calibrate`;
+    returns their paths and the split file's SHA-256, which the model's
+    checkpoint records."""
     splits_path = out / "splits.txt"
     write_splits(splits_path, splits)
     labels_path = out / "labels_used.csv"
     write_labels(labels_path, labels)
-    return [splits_path, labels_path]
+    return [splits_path, labels_path], _sha256(splits_path)
 
 
 def _train_config(args) -> TrainConfig:
@@ -202,7 +205,7 @@ def _train_config(args) -> TrainConfig:
 
 
 def cmd_train(args) -> int:
-    trace = ingest(args.input)
+    trace = ingest(args.input, [args.sensor])
     labels, splits, norm, train_w, val_w = _prepare_training_windows(args, trace)
     model = init_model(
         args.hs, args.layers, window_size=args.window_size, seed=args.seed, norm=norm
@@ -210,14 +213,14 @@ def cmd_train(args) -> int:
     result = train(model, train_w, val_w, _train_config(args))
 
     out = _out_dir(args)
+    split_paths, split = _write_split(out, labels, splits)
     model_path = out / "model.bin"
-    save_model(model_path, result.model)
+    save_model(model_path, replace(result.model, split=split))
     history_path = out / "history.csv"
     with history_path.open("w", encoding="utf-8") as fh:
         fh.write("epoch,train_loss,val_loss\n")
         for s in result.history:
             fh.write(f"{s.epoch},{s.train_loss!r},{s.val_loss!r}\n")
-    split_paths = _write_split(out, labels, splits)
 
     _write_manifest(
         args,
@@ -233,7 +236,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_search(args) -> int:
-    trace = ingest(args.input)
+    trace = ingest(args.input, [args.sensor])
     labels, splits, norm, train_w, val_w = _prepare_training_windows(args, trace)
     space = SearchSpace(
         hs_range=_parse_range(args.hs_range),
@@ -242,10 +245,12 @@ def cmd_search(args) -> int:
         seed=args.seed,
     )
     out = _out_dir(args)
-    results = random_search(space, train_w, val_w, norm, _train_config(args), out_dir=out)
+    split_paths, split = _write_split(out, labels, splits)
+    results = random_search(
+        space, train_w, val_w, norm, _train_config(args), out_dir=out, split=split
+    )
     report_path = out / "search_report.csv"
     write_search_report(report_path, results)
-    split_paths = _write_split(out, labels, splits)
 
     outputs = [report_path, *split_paths] + [out / r.model_path for r in results if r.model_path]
     _write_manifest(
@@ -274,8 +279,14 @@ def cmd_calibrate(args) -> int:
     if not (args.checkpoint and args.input and args.splits):
         raise UsageError("calibrate needs --checkpoint, --input and --splits (or --alpha)")
     model = load_model(args.checkpoint)
-    trace = ingest(args.input)
     splits = read_splits(args.splits)
+    digest = _sha256(args.splits)
+    if model.split is not None and digest != model.split:
+        raise SplitMismatch(
+            f"{args.splits} (SHA-256 {digest}) is not the split {args.checkpoint} "
+            f"was trained on ({model.split})"
+        )
+    trace = ingest(args.input, [args.sensor])
     val_w = make_windows(
         trace, args.sensor, splits.validation, model.window_size, args.stride, model.norm
     )
@@ -315,7 +326,7 @@ def cmd_detect(args) -> int:
         threshold = Threshold(alpha=args.alpha, method="manual")
     else:
         raise UsageError("detect needs --threshold or --alpha")
-    trace = ingest(args.input)
+    trace = ingest(args.input, [args.sensor])
     scores = score_trace(model, trace, args.sensor, stride=args.stride)
     events = detect(scores, threshold, merge_gap=args.merge_gap)
 
@@ -330,7 +341,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_rba(args) -> int:
-    trace = ingest(args.input)
+    trace = ingest(args.input, [args.sensor])
     config = RbaConfig(
         base_temp=args.base_temp,
         band=args.band,
@@ -349,10 +360,11 @@ def cmd_rba(args) -> int:
 
 
 def cmd_corr(args) -> int:
-    trace = ingest(args.input)
     if args.sensors:
         sensors = [s for s in args.sensors.split(",") if s]
+        trace = ingest(args.input, sensors)
     else:
+        trace = ingest(args.input)
         sensors = [c.name for c in trace.columns if c.unit == "°C"]
     if args.days:
         days = [_parse_date(d) for d in args.days.split(",") if d]
@@ -449,16 +461,7 @@ def _add_training_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="seeds init and shuffling")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hivewatch",
-        description="Beehive sensor anomaly detection: reconstruction-based "
-        "detector with a rule-based baseline.",
-    )
-    parser.add_argument("--version", action="version", version=f"hivewatch {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="generate a synthetic trace with ground truth")
+def _synth_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--days", type=int, required=True)
     p.add_argument("--sensors", choices=sorted(LAYOUTS), default="single")
     p.add_argument("--seed", type=int, default=0)
@@ -468,26 +471,26 @@ def build_parser() -> argparse.ArgumentParser:
                         "repeatable")
     p.add_argument("--format", choices=sorted(FORMATS), default="csv")
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", help="train the autoencoder on normal days")
+
+def _train_flags(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     _add_window_flags(p)
     p.add_argument("--hs", type=int, default=16, help="hidden units per layer")
     p.add_argument("--layers", type=int, default=1, help="stacked layers per side")
     _add_training_flags(p)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("search", help="random hyperparameter search")
+
+def _search_flags(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     _add_window_flags(p)
     p.add_argument("--hs-range", default="2:64", metavar="LO:HI")
     p.add_argument("--layers-range", default="1:4", metavar="LO:HI")
     p.add_argument("--trials", type=int, default=20)
     _add_training_flags(p)
-    p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("calibrate", help="set the anomaly threshold")
+
+def _calibrate_flags(p: argparse.ArgumentParser) -> None:
     _add_common(p, input_required=False)
     p.add_argument("--checkpoint", default=None, help="trained model file")
     p.add_argument("--splits", default=None, help="split file from train or search")
@@ -496,9 +499,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="validation-error quantile (1.0 = maximum)")
     p.add_argument("--alpha", type=float, default=None,
                    help="manual threshold; skips calibration")
-    p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("detect", help="score a trace and emit events")
+
+def _detect_flags(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--checkpoint", required=True, help="trained model file")
     p.add_argument("--threshold", default=None, help="threshold file from calibrate")
@@ -506,17 +509,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stride", type=int, default=1)
     p.add_argument("--merge-gap", type=int, default=DEFAULT_MERGE_GAP_S,
                    help="seconds between hits merged into one event")
-    p.set_defaults(func=cmd_detect)
 
-    p = sub.add_parser("rba", help="rule-based swarm detection")
+
+def _rba_flags(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--base-temp", type=float, default=34.5)
     p.add_argument("--band", type=float, default=1.0)
     p.add_argument("--min-duration", type=int, default=2, help="minutes")
     p.add_argument("--max-duration", type=int, default=20, help="minutes")
-    p.set_defaults(func=cmd_rba)
 
-    p = sub.add_parser("corr", help="sensor correlation matrix over a day set")
+
+def _corr_flags(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--sensors", default=None,
                    help="comma-separated sensor names (default: all temperatures)")
@@ -524,9 +527,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", default=None, help="day-label file")
     p.add_argument("--population", choices=("normal-days", "anomalous-days"),
                    default="normal-days")
-    p.set_defaults(func=cmd_corr)
 
-    p = sub.add_parser("report", help="per-event detector comparison table")
+
+def _report_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--truth", default=None, help="ground-truth event file")
     p.add_argument("--ae-events", default=None)
     p.add_argument("--rba-events", default=None)
@@ -534,14 +537,54 @@ def build_parser() -> argparse.ArgumentParser:
                    help="matching tolerance, in readings")
     p.add_argument("--period", type=int, default=60, help="seconds per reading")
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_report)
 
+
+#: Every subcommand as (name, help, flag builder, handler), in help order.
+COMMANDS = (
+    ("synth", "generate a synthetic trace with ground truth", _synth_flags, cmd_synth),
+    ("train", "train the autoencoder on normal days", _train_flags, cmd_train),
+    ("search", "random hyperparameter search", _search_flags, cmd_search),
+    ("calibrate", "set the anomaly threshold", _calibrate_flags, cmd_calibrate),
+    ("detect", "score a trace and emit events", _detect_flags, cmd_detect),
+    ("rba", "rule-based swarm detection", _rba_flags, cmd_rba),
+    ("corr", "sensor correlation matrix over a day set", _corr_flags, cmd_corr),
+    ("report", "per-event detector comparison table", _report_flags, cmd_report),
+)
+_COMMAND_NAMES = tuple(name for name, *_ in COMMANDS)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `hivewatch` parser with every subcommand, or with `command`'s only.
+
+    The one-command parser prints that command's help and errors byte for
+    byte as the full one does: a subparser's `prog` is `hivewatch <cmd>`
+    either way, and the top-level usage, printed for an unrecognized
+    argument, names every command through the metavar. Only the full
+    parser can reject an unknown command or list them all under `--help`.
+    """
+    parser = argparse.ArgumentParser(
+        prog="hivewatch",
+        description="Beehive sensor anomaly detection: reconstruction-based "
+        "detector with a rule-based baseline.",
+    )
+    parser.add_argument("--version", action="version", version=f"hivewatch {__version__}")
+    # A metavar would also rename the subcommand argument in the full
+    # parser's own errors ("required: command"), so only the one-command
+    # parser sets it.
+    metavar = None if command is None else "{%s}" % ",".join(_COMMAND_NAMES)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, help_text, add_flags, handler in COMMANDS:
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            add_flags(p)
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMAND_NAMES else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

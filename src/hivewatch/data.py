@@ -184,27 +184,31 @@ def _unit_for(name: str) -> str:
     return "kg" if "weight" in name.lower() else "°C"
 
 
+#: UTC epoch seconds of the first and last second of years 1 to 9999,
+#: the stamps `datetime` can hold and the event files can write back.
+_FIRST_TS = (date(1, 1, 1).toordinal() - _EPOCH_ORDINAL) * _SECONDS_PER_DAY
+_LAST_TS = (date(9999, 12, 31).toordinal() + 1 - _EPOCH_ORDINAL) * _SECONDS_PER_DAY - 1
+
+
 def _parse_timestamp(cell: str) -> tuple[int, int] | None:
-    """Parse one timestamp cell, returning (epoch_s, utc_offset_s) or None."""
+    """Parse one timestamp cell, returning (epoch_s, utc_offset_s), or None
+    when it is no stamp or falls outside years 1 to 9999 UTC."""
     s = cell.strip()
     if not s:
         return None
     try:
-        return int(round(float(s))), 0
-    except ValueError:
-        pass
-    if s.endswith(("Z", "z")):
-        s = s[:-1] + "+00:00"
-    try:
-        dt = datetime.fromisoformat(s)
-    except ValueError:
-        return None
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-        offset = 0
-    else:
-        offset = int(dt.utcoffset().total_seconds())
-    return int(round(dt.timestamp())), offset
+        ts, offset = int(round(float(s))), 0
+    except (ValueError, OverflowError):  # not a number, or NaN or infinite
+        if s.endswith(("Z", "z")):
+            s = s[:-1] + "+00:00"
+        try:
+            dt = datetime.fromisoformat(s)
+        except ValueError:
+            return None
+        if dt.tzinfo is None:
+            dt = dt.replace(tzinfo=timezone.utc)
+        ts, offset = int(round(dt.timestamp())), int(dt.utcoffset().total_seconds())
+    return (ts, offset) if _FIRST_TS <= ts <= _LAST_TS else None
 
 
 #: Lines per block of the columnar ingest and write paths. Fixed: it
@@ -264,10 +268,13 @@ def _parse_rows(fh, delimiter: str, n_cols: int):
     return ts, vals, offset or 0, dropped, ragged
 
 
-def _parse_block(lines: list[str], delimiter: str, n_cols: int, suffix: str | None):
+def _parse_block(lines: list[str], delimiter: str, n_cols: int, selected: list[int],
+                 suffix: str | None):
     """Columnar parse of one block, or None unless the row parser would
     read it the same way with nothing to repair.
 
+    Only the value columns at the indices `selected` are parsed; every
+    line's cell count, quotes and stamp are checked all the same.
     Accepted: no quote character, exactly `n_cols + 1` cells per line (a
     blank line has one), and every stamp 25 ASCII characters of the form
     `YYYY-MM-DDTHH:MM:SS` plus the one offset `suffix` (the block's own
@@ -302,9 +309,9 @@ def _parse_block(lines: list[str], delimiter: str, n_cols: int, suffix: str | No
     try:
         local = np.frombuffer(raw, dtype="S25").astype("S19").astype("datetime64[s]")
         vals = np.array(
-            [[float(c) if c else math.nan for c in col] for col in cells],
+            [[float(c) if c else math.nan for c in cells[j]] for j in selected],
             dtype=np.float64,
-        )
+        ).reshape(len(selected), len(lines))
     except ValueError:
         return None
     if local.min() < _YEAR_ONE:
@@ -312,33 +319,35 @@ def _parse_block(lines: list[str], delimiter: str, n_cols: int, suffix: str | No
     return block_suffix, local.astype(np.int64), vals
 
 
-def _parse_blocks(fh, delimiter: str, n_cols: int):
+def _parse_blocks(fh, delimiter: str, n_cols: int, selected: list[int]):
     """Block-columnar parse of the body, or None as soon as one block needs
-    the row parser: mixed offsets, other stamp forms, unparseable or
-    quoted cells, blank or ragged lines, out-of-order or duplicate rows.
+    the row parser: mixed offsets, other stamp forms, unparseable cells in
+    the `selected` columns, quoted cells, blank or ragged lines, out-of-order
+    or duplicate rows, stamps outside years 1 to 9999 UTC.
 
-    Returns what `_parse_rows` does, with no rows dropped or ragged.
+    Returns what `_parse_rows` does for the `selected` columns, with no rows
+    dropped or ragged.
     """
     suffix = None
     ts_parts: list[np.ndarray] = []
     val_parts: list[np.ndarray] = []
     while lines := list(itertools.islice(fh, _BLOCK_LINES)):
-        block = _parse_block(lines, delimiter, n_cols, suffix)
+        block = _parse_block(lines, delimiter, n_cols, selected, suffix)
         if block is None:
             return None
         suffix, local, vals = block
         ts_parts.append(local)
         val_parts.append(vals)
     if not ts_parts:
-        return np.empty(0, np.int64), np.empty((n_cols, 0)), 0, 0, 0
+        return np.empty(0, np.int64), np.empty((len(selected), 0)), 0, 0, 0
     offset = int(suffix[0] + "1") * (3600 * int(suffix[1:3]) + 60 * int(suffix[4:6]))
     ts = np.concatenate(ts_parts) - offset
-    if not (np.diff(ts) > 0).all():
+    if not ((np.diff(ts) > 0).all() and _FIRST_TS <= ts[0] and ts[-1] <= _LAST_TS):
         return None
     return ts, np.concatenate(val_parts, axis=1), offset, 0, 0
 
 
-def ingest(path) -> SensorTrace:
+def ingest(path, sensors=None) -> SensorTrace:
     """Read a delimited sensor file into a trace named after the file.
 
     The layout is a header `timestamp,<sensor>...`, ISO-8601 or
@@ -346,20 +355,29 @@ def ingest(path) -> SensorTrace:
     The delimiter comes from the header line: tab if that holds one,
     comma otherwise, so both layouts `write_trace` produces read back.
 
+    `sensors` names the value columns to read; the trace holds those
+    columns in file order (every column of a duplicated name), or every
+    column when it is None. A name not in the header raises
+    `UnknownSensor`.
+
     The body is first read in blocks of 1 024 lines, each split into
-    columns: NumPy parses the stamps and `float` each value cell. That
-    path takes only files the row parser would read identically and with
-    nothing to repair: ISO stamps with one shared UTC offset, strictly
-    increasing, every row complete.
+    columns: NumPy parses the stamps and `float` each cell of the columns
+    read. That path takes only files the row parser would read
+    identically and with nothing to repair: ISO stamps with one shared
+    UTC offset, strictly increasing, every row complete and unquoted.
+    Cells of the columns not read are never parsed, so a bad one sends no
+    file to the row parser.
     Any other file is read again from the top by the row parser, which is
     the only path that repairs: unparseable value cells become missing
-    readings; rows whose timestamp cannot be parsed are dropped and
-    counted; out-of-order rows are sorted silently while they stay under
-    ``MAX_UNSORTED_FRACTION``; duplicate timestamps collapse to the last
-    occurrence. Both paths give the same arrays bit for bit. Counts of all
-    repairs, and which path ran (``parser``: ``"block"`` or ``"row"``),
-    land in ``trace.metadata``. A file that is not UTF-8 raises
-    `FileUnreadable`.
+    readings; rows whose timestamp cannot be parsed, or falls outside
+    years 1 to 9999 UTC, are dropped and counted; out-of-order rows are
+    sorted silently while they stay under ``MAX_UNSORTED_FRACTION``;
+    duplicate timestamps collapse to the last occurrence. Both paths give
+    the same arrays bit for bit. Counts of all repairs, and which path
+    ran (``parser``: ``"block"`` or ``"row"``), land in
+    ``trace.metadata``. A file that is not UTF-8, or that the
+    row parser cannot split into cells (a quote left open until a cell
+    outgrows `csv`'s field limit), raises `FileUnreadable`.
     """
     path = Path(path)
     try:
@@ -379,16 +397,23 @@ def ingest(path) -> SensorTrace:
             names = [c.strip() for c in header[1:]]
             if not names or any(not n for n in names):
                 raise MalformedHeader(f"{path}: need at least one named sensor column")
+            for name in sensors or ():
+                if name not in names:
+                    raise UnknownSensor(f"sensor {name!r} not in {names}")
+            selected = [j for j, n in enumerate(names) if sensors is None or n in sensors]
 
             parser = "block"
-            parsed = _parse_blocks(fh, delimiter, len(names))
+            parsed = _parse_blocks(fh, delimiter, len(names), selected)
             if parsed is None:
                 parser = "row"
                 fh.seek(0)
                 fh.readline()
-                parsed = _parse_rows(fh, delimiter, len(names))
+                ts, vals, *repairs = _parse_rows(fh, delimiter, len(names))
+                parsed = (ts, vals[selected], *repairs)
     except UnicodeDecodeError as exc:
         raise FileUnreadable(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    except csv.Error as exc:  # a quote left open runs past the field limit
+        raise FileUnreadable(f"{path}: not a delimited table ({exc})") from exc
     ts, vals, offset, dropped, ragged = parsed
 
     out_of_order = int(np.sum(np.diff(ts) < 0)) if len(ts) > 1 else 0
@@ -409,7 +434,7 @@ def ingest(path) -> SensorTrace:
 
     return SensorTrace(
         hive_id=path.stem,
-        columns=[SensorColumn(n, _unit_for(n)) for n in names],
+        columns=[SensorColumn(names[j], _unit_for(names[j])) for j in selected],
         timestamps=ts,
         values=vals,
         utc_offset_s=offset,

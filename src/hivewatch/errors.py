@@ -8,7 +8,7 @@ class HivewatchError(Exception):
 # Data and file errors. The CLI maps these to exit code 3.
 
 class FileUnreadable(HivewatchError):
-    """Input file is missing or cannot be opened."""
+    """Input file is missing, cannot be opened, or cannot be read as text."""
 
 
 class MalformedHeader(HivewatchError):
@@ -55,6 +55,10 @@ class CheckpointError(HivewatchError):
     """Model checkpoint file is unreadable or inconsistent."""
 
 
+class SplitMismatch(HivewatchError):
+    """Split file is not the one the checkpoint was trained on."""
+
+
 # Model / contract errors.
 
 class InvalidHyperparameter(HivewatchError):
@@ -89,4 +93,5 @@ DATA_ERRORS = (
     InvalidSchedule,
     ExhaustedGrid,
     CheckpointError,
+    SplitMismatch,
 )

@@ -1,17 +1,18 @@
 """Model checkpoints: a small self-describing binary container.
 
 Layout: magic ``HIVEAE1\\n``, a little-endian uint32 header length, a
-compact JSON header (version, hyperparameters, normalization, seed, and
-the name/shape of every array), then the arrays themselves concatenated
-as little-endian float64 in header order. Writing the same model twice
-produces identical bytes — there are no timestamps or other ambient
-state in the container.
+compact JSON header (version, hyperparameters, normalization, seed, the
+digest of the training split when one is recorded, and the name/shape of
+every array), then the arrays themselves concatenated as little-endian
+float64 in header order. Writing the same model twice produces identical
+bytes — there are no timestamps or other ambient state in the container.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 import struct
 from pathlib import Path
 
@@ -24,6 +25,9 @@ from .model import HIDDEN_SIZE_RANGE, NUM_LAYERS_RANGE, AutoencoderModel, model_
 
 MAGIC = b"HIVEAE1\n"
 VERSION = "v1"
+
+#: A recorded split: the SHA-256 of the split file, as `hexdigest` spells it.
+_SPLIT_DIGEST = re.compile(r"[0-9a-f]{64}")
 
 
 def save_model(path, model: AutoencoderModel) -> None:
@@ -39,6 +43,8 @@ def save_model(path, model: AutoencoderModel) -> None:
         "norm": {"mean": model.norm.mean, "std": model.norm.std},
         "arrays": [{"name": k, "shape": list(v.shape)} for k, v in params.items()],
     }
+    if model.split is not None:
+        header["split"] = model.split
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with Path(path).open("wb") as fh:
         fh.write(MAGIC)
@@ -84,6 +90,9 @@ def load_model(path) -> AutoencoderModel:
     mean, std = _field(path, norm, "mean", float), _field(path, norm, "std", float)
     if not (math.isfinite(mean) and math.isfinite(std) and std > 0):
         raise CheckpointError(f"{path}: invalid normalization {norm}")
+    split = header.get("split")
+    if "split" in header and not (isinstance(split, str) and _SPLIT_DIGEST.fullmatch(split)):
+        raise CheckpointError(f"{path}: header field 'split' is not a SHA-256 hex digest")
 
     arrays: dict[str, np.ndarray] = {}
     offset = data_start
@@ -125,6 +134,7 @@ def load_model(path) -> AutoencoderModel:
             b_out=arrays["output.b"],
             norm=NormalizationParams(mean, std),
             seed=seed,
+            split=split,
         )
     except KeyError as exc:
         raise CheckpointError(f"{path}: missing array {exc}") from exc

@@ -34,7 +34,12 @@ SCORE_BATCH = 1024
 
 @dataclass
 class AutoencoderModel:
-    """All parameters of one autoencoder, plus the normalization it expects."""
+    """All parameters of one autoencoder, plus the normalization it expects.
+
+    `split` is the SHA-256 (hex) of the split file the model was trained
+    on, when the command that trained it wrote one; `calibrate` checks
+    its `--splits` against it.
+    """
 
     window_size: int
     hidden_size: int
@@ -45,6 +50,7 @@ class AutoencoderModel:
     b_out: np.ndarray  # (1,)
     norm: NormalizationParams
     seed: int = 0
+    split: str | None = None
 
     def __post_init__(self) -> None:
         self.w_out = np.asarray(self.w_out, dtype=np.float64)

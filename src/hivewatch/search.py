@@ -8,7 +8,7 @@ and ranking by best validation loss.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .data import NormalizationParams
@@ -69,6 +69,7 @@ def random_search(
     norm: NormalizationParams,
     config: TrainConfig = TrainConfig(),
     out_dir=None,
+    split: str | None = None,
 ) -> list[TrialResult]:
     """Train one model per sampled grid cell; results sorted by loss.
 
@@ -77,7 +78,8 @@ def random_search(
     trial's model carries `norm`, so its checkpoint scores new traces. A
     budget above the grid size degrades to visiting the full grid.
     Ties in validation loss rank the smaller model first (hs, then n).
-    When `out_dir` is given every trial's model is checkpointed there.
+    When `out_dir` is given every trial's model is checkpointed there,
+    recording `split`, the digest of the split file it was trained on.
     """
     cells = space.grid()
     if not cells:
@@ -97,7 +99,7 @@ def random_search(
         path = ""
         if out_dir is not None:
             path = str(Path(out_dir) / f"model_hs{hs}_n{n}.bin")
-            save_model(path, outcome.model)
+            save_model(path, replace(outcome.model, split=split))
         results.append(
             TrialResult(
                 hs=hs,

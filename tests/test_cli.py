@@ -6,6 +6,8 @@ next stage the same way a shell pipeline would use them.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import os
 import struct
@@ -13,13 +15,14 @@ import subprocess
 import sys
 import time
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 import hivewatch
-from hivewatch.cli import main
-from hivewatch.data import read_labels
+from hivewatch.cli import COMMANDS, build_parser, main
+from hivewatch.data import read_labels, read_splits
 from hivewatch.detector import (
     DetectionEvent,
     read_events,
@@ -124,6 +127,8 @@ class TestTrain:
         assert model.window_size == 30
         assert model.hidden_size == 4
         assert model.norm is not None
+        splits = (pipeline / "train" / "splits.txt").read_bytes()
+        assert model.split == hashlib.sha256(splits).hexdigest()
         lines = (pipeline / "train" / "history.csv").read_text().splitlines()
         assert lines[0] == "epoch,train_loss,val_loss"
         assert len(lines) >= 2
@@ -245,6 +250,45 @@ class TestCalibrate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: usage:"), err
         assert not out.exists()
+
+    def test_split_of_another_run_is_data_error(self, pipeline, tmp_path, capsys) -> None:
+        """The checkpoint records the split it was trained on: another
+        `train` run's split, whose validation days include this model's
+        training days, is refused."""
+        other = tmp_path / "other"
+        assert run(
+            "train", "--input", str(pipeline / "synth" / "trace.csv"),
+            "--sensor", "temp_core", "--labels", str(pipeline / "synth" / "labels.csv"),
+            "--window-size", "30", "--hs", "4", "--max-epochs", "1", "--batch-size", "256",
+            "--val-fraction", "0.5", "--out-dir", str(other),
+        ) == 0
+        capsys.readouterr()
+        ours = read_splits(pipeline / "train" / "splits.txt")
+        assert read_splits(other / "splits.txt").validation & ours.training
+        out = tmp_path / "cal"
+        assert run(
+            "calibrate", "--checkpoint", str(pipeline / "train" / "model.bin"),
+            "--input", str(pipeline / "synth" / "trace.csv"), "--sensor", "temp_core",
+            "--splits", str(other / "splits.txt"), "--out-dir", str(out),
+        ) == 3
+        one_data_error(capsys, "SplitMismatch")
+        assert not out.exists()
+
+    def test_checkpoint_without_split_is_not_checked(self, pipeline, tmp_path) -> None:
+        """A checkpoint that records no split, as `save_model` writes one
+        for a model trained outside `train` and `search`, calibrates."""
+        bare = tmp_path / "bare.bin"
+        rewrite_header(pipeline / "train" / "model.bin", bare, without("split"))
+        assert load_model(bare).split is None
+        assert run(
+            "calibrate", "--checkpoint", str(bare),
+            "--input", str(pipeline / "synth" / "trace.csv"), "--sensor", "temp_core",
+            "--splits", str(pipeline / "train" / "splits.txt"),
+            "--out-dir", str(tmp_path / "cal"),
+        ) == 0
+        assert (tmp_path / "cal" / "threshold.json").read_bytes() == (
+            pipeline / "cal" / "threshold.json"
+        ).read_bytes()
 
     def test_data_error_writes_nothing(self, pipeline, tmp_path, capsys) -> None:
         bad = tmp_path / "bad.bin"
@@ -431,10 +475,31 @@ class TestBadCheckpoint:
 
 
 class TestBlasThreads:
+    @pytest.mark.parametrize("preset", [None, "4"])
+    def test_import_pins_blas_threads_unless_set(self, preset) -> None:
+        """A fresh process that imports hivewatch runs one BLAS thread
+        unless the user chose a count; theirs is kept."""
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = preset
+        src = str(Path(hivewatch.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        probe = ("import os, hivewatch, numpy; tasks = '/proc/self/task'; "
+                 "print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'], "
+                 "len(os.listdir(tasks)) if os.path.isdir(tasks) else 1)")
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        blas, omp, threads = done.stdout.split()
+        assert blas == omp == (preset or "1")
+        if preset is None:
+            assert threads == "1"  # OpenBLAS started no threads of its own
+
     def test_detect_bytes_do_not_depend_on_blas_threads(self, pipeline, tmp_path) -> None:
-        """`python -m hivewatch.cli detect` with the BLAS thread count left
-        to the library, and with it pinned to one, writes the events an
-        in-process run writes, byte for byte."""
+        """`python -m hivewatch.cli detect` with its default of one BLAS
+        thread, and with two, writes the events an in-process run writes,
+        byte for byte."""
         argv = ["detect", "--input", str(pipeline / "synth" / "trace.csv"),
                 "--sensor", "temp_core",
                 "--checkpoint", str(pipeline / "train" / "model.bin"),
@@ -444,8 +509,8 @@ class TestBlasThreads:
         env = {k: v for k, v in os.environ.items()
                if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        for name, blas_threads in (("unpinned", {}), ("pinned", {"OPENBLAS_NUM_THREADS": "1",
-                                                                  "OMP_NUM_THREADS": "1"})):
+        for name, blas_threads in (("default", {}), ("two", {"OPENBLAS_NUM_THREADS": "2",
+                                                              "OMP_NUM_THREADS": "2"})):
             done = subprocess.run(
                 [sys.executable, "-m", "hivewatch.cli", *argv, "--out-dir", str(tmp_path / name)],
                 env={**env, **blas_threads}, capture_output=True, text=True, timeout=120,
@@ -778,3 +843,63 @@ class TestParser:
             run("--version")
         assert exc.value.code == 0
         assert "hivewatch" in capsys.readouterr().out
+
+
+def parser_output(parse, argv: list[str]) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of a parse that exits, as for help and
+    usage errors."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+#: A flag of each command with a `type=` or `choices=` to violate.
+TYPED_FLAG = {"synth": "--days", "train": "--hs", "search": "--trials",
+              "calibrate": "--quantile", "detect": "--stride", "rba": "--band",
+              "corr": "--population", "report": "--period"}
+
+
+def parser_cases():
+    cases = [[], ["--help"], ["--version"], ["nosuch"], ["nosuch", "--help"], ["--", "rba"]]
+    for name, *_ in COMMANDS:
+        cases += [
+            [name, "--help"],
+            [name],  # a required flag missing
+            [name, "--out-dir", "o", TYPED_FLAG[name], "x"],
+            [name, "--out-dir", "o", "--nosuch"],  # reported by the top-level parser
+        ]
+    return cases
+
+
+class TestParserOutput:
+    """`main` builds only the invoked command's parser; what it prints
+    must be what the parser with every command prints."""
+
+    @pytest.mark.parametrize("argv", parser_cases(), ids=" ".join)
+    def test_same_bytes_as_full_parser(self, argv) -> None:
+        got = parser_output(main, argv)
+        assert got == parser_output(build_parser().parse_args, argv)
+        code, out, err = got
+        assert (code, bool(out), bool(err)) in ((0, True, False), (2, False, True))
+
+    @pytest.mark.parametrize("argv, built", [(["rba", "--help"], "rba"),
+                                             (["report", "-h"], "report"),
+                                             (["--help"], None), (["nosuch"], None)])
+    def test_builds_only_the_invoked_command(self, monkeypatch, argv, built) -> None:
+        calls = []
+        monkeypatch.setattr("hivewatch.cli.build_parser",
+                            lambda command=None: calls.append(command) or build_parser(command))
+        parser_output(main, argv)
+        assert calls == [built]
+
+    def test_long_option_abbreviations(self, tmp_path) -> None:
+        """The README walkthrough passes `report --ae` and `--rba`."""
+        write_events(tmp_path / "events.csv", [DetectionEvent(0, 600, 300, 1.0, "AE", "swarm")])
+        events = str(tmp_path / "events.csv")
+        out = tmp_path / "rep"
+        with redirect_stdout(io.StringIO()):
+            assert run("report", "--truth", events, "--ae", events, "--rba", events,
+                       "--out-dir", str(out)) == 0
+        parameters = json.loads((out / "report_manifest.json").read_text())["parameters"]
+        assert parameters["ae_events"] == parameters["rba_events"] == events

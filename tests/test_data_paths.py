@@ -210,6 +210,89 @@ def test_non_utf8_is_unreadable(tmp_path) -> None:
         ingest(p)
 
 
+def test_quote_left_open_is_unreadable(tmp_path) -> None:
+    """A stray quote turns the rest of a long file into one cell, larger
+    than `csv` accepts: a data error, not an internal one."""
+    rows = clean_rows(4000, n_cols=2)
+    rows[10][1] = '"' + rows[10][1]
+    p = tmp_path / "h.csv"
+    p.write_text(trace_text(rows, ("a", "b")), encoding="utf-8")
+    with pytest.raises(data.FileUnreadable, match="not a delimited table"):
+        ingest(p)
+
+
+@pytest.mark.parametrize("stamp", ["1e999", "-1e999", "9" * 25, "0001-01-01T00:00:00+14:00",
+                                   "9999-12-31T23:59:59-14:00"])
+def test_stamp_outside_years_1_to_9999_is_dropped(tmp_path, stamp) -> None:
+    rows = _at(clean_rows(50), 20, stamp)
+    p = tmp_path / "h.csv"
+    p.write_text(trace_text(rows), encoding="utf-8")
+    got = ingest(p)
+    assert got.metadata["dropped_rows"] == 1 and len(got) == 49
+    assert got.metadata["parser"] == "row"
+
+
+# ---------------------------------------------------------------------------
+# Ingest of selected columns against the full ingest
+
+
+def restrict(trace: SensorTrace, names) -> SensorTrace:
+    """`trace` with only the columns named in `names`, in file order."""
+    keep = [j for j, c in enumerate(trace.columns) if c.name in names]
+    return SensorTrace(trace.hive_id, [trace.columns[j] for j in keep], trace.timestamps,
+                       trace.values[keep], trace.utc_offset_s, trace.metadata)
+
+
+def assert_selection_matches(path, names) -> SensorTrace:
+    """Selected columns equal the full ingest's and the row parser's."""
+    got = ingest(path, names)
+    assert_same_trace(got, restrict(ingest(path), names))
+    assert_same_trace(got, row_ingest(path, sensors=names))
+    return got
+
+
+@given(text=clean_files(), picks=st.data())
+@settings(max_examples=40, deadline=None)
+def test_selected_columns_of_clean_file(tmp_path_factory, text, picks) -> None:
+    path = tmp_path_factory.mktemp("ingest") / "hive.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    header = text.split("\n", 1)[0].strip()
+    names = header.split("\t" if "\t" in header else ",")[1:]
+    subset = picks.draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+    assert assert_selection_matches(path, subset).metadata["parser"] == "block"
+
+
+@pytest.mark.parametrize("case", sorted(_fallback_cases()))
+def test_selected_columns_of_repaired_file(tmp_path, case) -> None:
+    p = tmp_path / "h.csv"
+    p.write_text(trace_text(_fallback_cases()[case], ("a", "b")), encoding="utf-8")
+    for names in (["a"], ["b"]):
+        assert_selection_matches(p, names)
+
+
+def test_bad_cell_in_unread_column_reads_as_blocks(tmp_path) -> None:
+    """The only visible effect of reading fewer columns: a defect confined
+    to a column no one reads no longer sends the file to the row parser."""
+    p = tmp_path / "h.csv"
+    p.write_text(trace_text(_fallback_cases()["unparseable value"], ("a", "b")),
+                 encoding="utf-8")
+    assert ingest(p, ["b"]).metadata["parser"] == "block"
+    assert ingest(p, ["a"]).metadata["parser"] == ingest(p).metadata["parser"] == "row"
+
+
+def test_duplicated_name_selects_every_such_column(tmp_path) -> None:
+    p = tmp_path / "h.csv"
+    p.write_text(trace_text(clean_rows(30, n_cols=3), ("a", "b", "a")), encoding="utf-8")
+    assert assert_selection_matches(p, ["a"]).sensor_names == ["a", "a"]
+
+
+def test_unknown_name_lists_the_header(tmp_path) -> None:
+    p = tmp_path / "h.csv"
+    p.write_text(trace_text(clean_rows(3, n_cols=2), ("a", "b")), encoding="utf-8")
+    with pytest.raises(data.UnknownSensor, match=r"^sensor 'c' not in \['a', 'b'\]$"):
+        ingest(p, ["a", "c"])
+
+
 # ---------------------------------------------------------------------------
 # write_trace
 

@@ -13,6 +13,12 @@ or header length, a header field removed or given a wrong type or an
 out-of-range value, and array data truncated, extended or made
 non-finite. `detect` and `calibrate` must refuse every one as a data
 error, exit 3 with exactly one `error: data:` line, warnings included.
+
+Traces, comma- and tab-separated, are truncated mid-line, get binary
+bytes, rows with another UTC offset, quoted cells holding the delimiter,
+and stamps or readings swapped for out-of-range ones. `detect`, `rba`,
+`calibrate` and `corr` must exit 0, 2 or 3, a non-zero exit with exactly
+one `error:` line, and never print a traceback.
 """
 
 from __future__ import annotations
@@ -132,8 +138,9 @@ def write_inputs(root: Path) -> dict[str, Path]:
         values,
     )
     paths = {name: root / name for name in
-             ("trace.csv", "model.bin", "events", "labels", "threshold", "splits")}
+             ("trace.csv", "trace.tsv", "model.bin", "events", "labels", "threshold", "splits")}
     write_trace(paths["trace.csv"], trace)
+    write_trace(paths["trace.tsv"], trace, "\t")
     save_model(paths["model.bin"],
                init_model(2, 1, window_size=10, seed=0, norm=NormalizationParams(34.5, 0.2)))
     write_events(paths["events"], [
@@ -225,6 +232,7 @@ HEADER_FIELDS = {
     ("arrays", 0, "name"): [DELETE, None, 1, "", "encoder.9.W"],
     ("arrays", 0, "shape"): [DELETE, None, "8", [], [-1], [1.0], [0], [1, 1, 1], [9, 1],
                              [2**62, 2**62], [BIG]],
+    ("split",): [None, 1, True, [], "", "0" * 63, "0" * 65, "A" * 64, "g" * 64],
 }
 #: Array entries a name or shape mutation may hit (the tiny model has eight).
 N_ARRAYS = 8
@@ -356,5 +364,132 @@ def test_mutated_checkpoint_exits_two_or_three(inputs, command) -> None:
     @settings(max_examples=EXAMPLES, deadline=None, derandomize=True, database=None)
     def check(mutations) -> None:
         assert_checkpoint_refused(command, inputs, mutate_checkpoint(raw, mutations))
+
+    check()
+
+
+# ---------------------------------------------------------------------------
+# Traces
+
+#: Examples per (command, delimiter): fixed and drawn from a fixed seed.
+TRACE_EXAMPLES = 40
+
+#: UTC offsets a mutated row may declare; "" leaves the stamp naive.
+OFFSETS = ["+01:00", "-05:30", "+14:00", "-14:00", "Z", ""]
+#: Stamps and readings out of every range a command reads.
+TRACE_STAMPS = [*STAMPS, str(T0), "-1", "1e999", "-1e999", "nan", "9" * 25, "2021-06-01"]
+READINGS = [*NUMBERS, "-0", "34.5e", "0x22"]
+
+
+def trace_mutations(raw: bytes):
+    """Lists of one to three trace mutations; `where` picks a body line or
+    a byte position of `raw`."""
+    line = st.integers(0, raw.count(b"\n"))
+    one = st.one_of(
+        st.tuples(st.just("truncate"), st.floats(0, 1)),
+        st.tuples(st.just("binary"), st.floats(0, 1), st.binary(min_size=1, max_size=8)),
+        st.tuples(st.just("offset"), line, st.sampled_from(OFFSETS), st.booleans()),
+        st.tuples(st.just("quote"), line, st.integers(0, 3)),
+        st.tuples(st.just("stamp"), line, st.sampled_from(TRACE_STAMPS)),
+        st.tuples(st.just("reading"), line, st.integers(0, 3), st.sampled_from(READINGS)),
+    )
+    return st.lists(one, min_size=1, max_size=3)
+
+
+def mutate_trace(raw: bytes, delimiter: str, mutations) -> bytes:
+    """`raw`, a valid trace, with `trace_mutations`' draw applied in order."""
+    for kind, where, *what in mutations:
+        if kind == "truncate":
+            raw = raw[: int(where * len(raw))]
+            continue
+        if kind == "binary":
+            k = int(where * len(raw))
+            raw = raw[:k] + what[0] + raw[k:]
+            continue
+        lines = raw.decode("utf-8", errors="surrogateescape").split("\n")
+        rows = range(1, len(lines)) if kind == "offset" and what[1] else [where]
+        for i in rows:
+            if not 1 <= i < len(lines) or not lines[i].strip():
+                continue
+            end = "\r" if lines[i].endswith("\r") else ""
+            cells = lines[i][: len(lines[i]) - len(end)].split(delimiter)
+            if kind == "offset":
+                cells[0] = cells[0][:19] + what[0]
+            elif kind == "stamp":
+                cells[0] = what[0]
+            elif len(cells) > 1:
+                j = 1 + what[0] % (len(cells) - 1)
+                cells[j] = f'"{cells[j]}{delimiter}1"' if kind == "quote" else what[1]
+            lines[i] = delimiter.join(cells) + end
+        raw = "\n".join(lines).encode("utf-8", errors="surrogateescape")
+    return raw
+
+
+def trace_argv(command: str, inputs: dict[str, Path], trace: Path, out: Path) -> list[str]:
+    side = {
+        "detect": ["--sensor", "temp_core", "--checkpoint", str(inputs["model.bin"]),
+                   "--threshold", str(inputs["threshold"])],
+        "rba": ["--sensor", "temp_core"],
+        "calibrate": ["--sensor", "temp_core", "--checkpoint", str(inputs["model.bin"]),
+                      "--splits", str(inputs["splits"])],
+        "corr": ["--labels", str(inputs["labels"])],
+    }[command]
+    return [command, "--input", str(trace), *side, "--out-dir", str(out)]
+
+
+def assert_exit_contract(command: str, inputs: dict[str, Path], name: str, data: bytes) -> None:
+    """Run `command` on a trace holding `data`: exit 0, 2 or 3, a non-zero
+    exit with exactly one `error:` line, and no traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        trace = Path(tmp) / name
+        trace.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(trace_argv(command, inputs, trace, Path(tmp) / "out"))
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    assert code in (0, 2, 3), err.getvalue()
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+TRACE_COMMANDS = ["detect", "rba", "calibrate", "corr"]
+
+
+@pytest.mark.parametrize("name", ["trace.csv", "trace.tsv"])
+@pytest.mark.parametrize("command", TRACE_COMMANDS)
+def test_every_trace_value_keeps_exit_contract(inputs, command, name) -> None:
+    """Each offset, stamp and reading of the lists above, and a quoted
+    cell, alone on the first, a middle and the last row."""
+    raw = inputs[name].read_bytes()
+    delimiter = "\t" if name.endswith("tsv") else ","
+    singles = (
+        [("offset", suffix, rest) for suffix in OFFSETS for rest in (False, True)]
+        + [("quote", col) for col in (0, 1)]
+        + [("stamp", stamp) for stamp in TRACE_STAMPS]
+        + [("reading", 0, value) for value in READINGS]
+    )
+    for row in (1, 100, raw.count(b"\n") - 1):
+        for kind, *what in singles:
+            mutation = (kind, row, *what)
+            data = mutate_trace(raw, delimiter, [mutation])
+            try:
+                assert_exit_contract(command, inputs, name, data)
+            except AssertionError as exc:
+                raise AssertionError(f"{mutation}: {exc}") from exc
+
+
+@pytest.mark.parametrize("name", ["trace.csv", "trace.tsv"])
+@pytest.mark.parametrize("command", TRACE_COMMANDS)
+def test_mutated_trace_keeps_exit_contract(inputs, command, name, tmp_path) -> None:
+    raw = inputs[name].read_bytes()
+    delimiter = "\t" if name.endswith("tsv") else ","
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert main(trace_argv(command, inputs, inputs[name], tmp_path / "valid")) == 0
+
+    @given(mutations=trace_mutations(raw))
+    @settings(max_examples=TRACE_EXAMPLES, deadline=None, derandomize=True, database=None)
+    def check(mutations) -> None:
+        assert_exit_contract(command, inputs, name, mutate_trace(raw, delimiter, mutations))
 
     check()
