@@ -19,6 +19,8 @@ import numpy as np
 from .data import (
     BROOD_TEMP_C,
     SensorTrace,
+    _FIRST_TS,
+    _LAST_TS,
     _read_text,
     make_windows,
     missing_spans,
@@ -319,13 +321,6 @@ def _iso(ts: int) -> str:
     return datetime.fromtimestamp(int(ts), timezone.utc).isoformat()
 
 
-#: Epoch seconds of the first and last instants `_iso` can write.
-_ISO_RANGE = (
-    int(datetime(1, 1, 1, tzinfo=timezone.utc).timestamp()),
-    int(datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc).timestamp()),
-)
-
-
 def _from_iso(s: str) -> int:
     """Epoch seconds of an ISO-8601 stamp, read as UTC when it has no
     offset (as `ingest` reads it); ValueError unless `_iso` can write the
@@ -334,7 +329,7 @@ def _from_iso(s: str) -> int:
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     ts = int(dt.timestamp())
-    if not _ISO_RANGE[0] <= ts <= _ISO_RANGE[1]:
+    if not _FIRST_TS <= ts <= _LAST_TS:
         raise ValueError(f"stamp {s!r} falls outside years 1-9999 in UTC")
     return ts
 

@@ -6,13 +6,11 @@ from .lstm import LSTMLayerParams, init_layer, lstm_backward, lstm_forward
 from .model import (
     AutoencoderModel,
     backward,
-    clone_model,
     forward,
     init_model,
     loss_and_gradients,
     model_parameters,
     reconstruction_loss,
-    set_model_parameters,
 )
 from .training import EpochStats, TrainConfig, TrainResult, evaluate, train
 
@@ -25,7 +23,6 @@ __all__ = [
     "TrainResult",
     "adam_step",
     "backward",
-    "clone_model",
     "evaluate",
     "forward",
     "init_adam",
@@ -38,6 +35,5 @@ __all__ = [
     "model_parameters",
     "reconstruction_loss",
     "save_model",
-    "set_model_parameters",
     "train",
 ]

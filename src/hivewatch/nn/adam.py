@@ -37,33 +37,32 @@ def adam_step(
     grads: dict[str, np.ndarray],
     state: AdamState,
     config,
-) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One bias-corrected Adam update; returns fresh params and state.
+) -> None:
+    """One bias-corrected Adam update, in place: writes the new values
+    into the arrays of `params` (a model's own, from `model_parameters`)
+    and the moments and step of `state`.
 
     `config` supplies learning_rate (a TrainConfig fits); the betas and
-    epsilon are the module constants. Inputs are never mutated.
+    epsilon are the module constants. Every gradient key and shape is
+    checked before anything is written, so a mismatch changes nothing.
     """
     if set(params) != set(grads):
         raise ShapeMismatch(
             f"parameter/gradient keys differ: {sorted(set(params) ^ set(grads))}"
         )
-    lr = config.learning_rate
-    t = state.step + 1
-    bc1 = 1.0 - ADAM_BETA1**t
-    bc2 = 1.0 - ADAM_BETA2**t
-
-    new_params: dict[str, np.ndarray] = {}
-    new_m: dict[str, np.ndarray] = {}
-    new_v: dict[str, np.ndarray] = {}
+    gs = {key: np.asarray(grads[key], dtype=np.float64) for key in params}
     for key, p in params.items():
-        g = np.asarray(grads[key], dtype=np.float64)
-        if g.shape != p.shape:
-            raise ShapeMismatch(f"{key}: gradient shape {g.shape} vs parameter {p.shape}")
-        m = ADAM_BETA1 * state.m[key] + (1.0 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * state.v[key] + (1.0 - ADAM_BETA2) * g * g
-        m_hat = m / bc1
-        v_hat = v / bc2
-        new_params[key] = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        new_m[key] = m
-        new_v[key] = v
-    return new_params, AdamState(step=t, m=new_m, v=new_v)
+        if gs[key].shape != p.shape:
+            raise ShapeMismatch(f"{key}: gradient shape {gs[key].shape} vs parameter {p.shape}")
+    lr = config.learning_rate
+    state.step += 1
+    bc1 = 1.0 - ADAM_BETA1**state.step
+    bc2 = 1.0 - ADAM_BETA2**state.step
+
+    for key, p in params.items():
+        g, m, v = gs[key], state.m[key], state.v[key]
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)

@@ -13,7 +13,7 @@ import contextvars
 import functools
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,34 +119,6 @@ def model_parameters(model: AutoencoderModel) -> dict[str, np.ndarray]:
     params["output.W"] = model.w_out
     params["output.b"] = model.b_out
     return params
-
-
-def set_model_parameters(model: AutoencoderModel, params: dict[str, np.ndarray]) -> None:
-    """Install new parameter arrays (keys as in `model_parameters`)."""
-    for prefix, layers in (("encoder", model.encoder_layers), ("decoder", model.decoder_layers)):
-        for k, layer in enumerate(layers):
-            layer.W = np.asarray(params[f"{prefix}.{k}.W"], dtype=np.float64)
-            layer.U = np.asarray(params[f"{prefix}.{k}.U"], dtype=np.float64)
-            layer.b = np.asarray(params[f"{prefix}.{k}.b"], dtype=np.float64)
-    model.w_out = np.asarray(params["output.W"], dtype=np.float64)
-    model.b_out = np.asarray(params["output.b"], dtype=np.float64)
-
-
-def clone_model(model: AutoencoderModel) -> AutoencoderModel:
-    """Independent copy; mutating one never touches the other."""
-    return replace(
-        model,
-        encoder_layers=[
-            LSTMLayerParams(l.input_size, l.hidden_size, l.W.copy(), l.U.copy(), l.b.copy())
-            for l in model.encoder_layers
-        ],
-        decoder_layers=[
-            LSTMLayerParams(l.input_size, l.hidden_size, l.W.copy(), l.U.copy(), l.b.copy())
-            for l in model.decoder_layers
-        ],
-        w_out=model.w_out.copy(),
-        b_out=model.b_out.copy(),
-    )
 
 
 @dataclass

@@ -2,20 +2,14 @@
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import EmptyDataset
+from ..errors import EmptyDataset, LengthMismatch
 from .adam import adam_step, init_adam
-from .model import (
-    AutoencoderModel,
-    clone_model,
-    loss_and_gradients,
-    model_parameters,
-    reconstruction_errors,
-    set_model_parameters,
-)
+from .model import AutoencoderModel, loss_and_gradients, model_parameters, reconstruction_errors
 
 
 @dataclass(frozen=True)
@@ -77,26 +71,31 @@ def train(
     """Adam on shuffled minibatches until validation loss stops improving.
 
     `Xtr` and `Xval` are (T, n) window matrices, one window per column
-    (`WindowSet.matrix`). The input model is left untouched; the returned
-    model carries the weights of the best validation epoch. Identical
-    (model, data, config) reproduce identical weights bit for bit.
+    (`WindowSet.matrix`); a row count other than the model's window size
+    raises `LengthMismatch`. Training runs on one deep copy of the input
+    model, which is left untouched: `adam_step` updates the copy's own
+    arrays in place. Each improving epoch is snapshotted as another deep
+    copy, and the best one is the returned model (the untrained weights
+    when no epoch improves). Identical (model, data, config) reproduce
+    identical weights bit for bit.
     """
+    for name, X in (("Xtr", Xtr), ("Xval", Xval)):
+        if X.shape[0] != model.window_size:
+            raise LengthMismatch(
+                f"{name} has {X.shape[0]} rows; model window_size is {model.window_size}"
+            )
     if Xtr.shape[1] == 0:
         raise EmptyDataset("no training windows")
     if Xval.shape[1] == 0:
         raise EmptyDataset("no validation windows")
-    if Xtr.shape[0] != model.window_size or Xval.shape[0] != model.window_size:
-        raise EmptyDataset(
-            f"window length {Xtr.shape[0]} does not match model window_size {model.window_size}"
-        )
 
-    work = clone_model(model)
+    work = copy.deepcopy(model)
+    best = copy.deepcopy(model)
     params = model_parameters(work)
     state = init_adam(params)
     rng = np.random.default_rng(config.seed)
     n = Xtr.shape[1]
 
-    best_params = {k: p.copy() for k, p in params.items()}
     best_val = float("inf")
     best_epoch = 0
     since_improvement = 0
@@ -108,8 +107,7 @@ def train(
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
             loss, grads = loss_and_gradients(work, Xtr[:, idx])
-            params, state = adam_step(params, grads, state, config)
-            set_model_parameters(work, params)
+            adam_step(params, grads, state, config)
             running += loss * len(idx)
         train_loss = running / n
 
@@ -119,12 +117,11 @@ def train(
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
-            best_params = {k: p.copy() for k, p in params.items()}
+            best = copy.deepcopy(work)
             since_improvement = 0
         else:
             since_improvement += 1
             if since_improvement >= config.patience:
                 break
 
-    set_model_parameters(work, best_params)
-    return TrainResult(model=work, history=history, best_epoch=best_epoch, best_val_loss=best_val)
+    return TrainResult(model=best, history=history, best_epoch=best_epoch, best_val_loss=best_val)

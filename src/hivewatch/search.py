@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .data import NormalizationParams
-from .errors import EmptyDataset, ExhaustedGrid, InvalidHyperparameter
+from .errors import ExhaustedGrid, InvalidHyperparameter
 from .nn import TrainConfig, init_model, save_model, train
 from .nn.model import HIDDEN_SIZE_RANGE, NUM_LAYERS_RANGE
 
@@ -89,8 +89,6 @@ def random_search(
     rng = np.random.default_rng(space.seed)
     order = rng.permutation(len(cells))[: min(space.trials, len(cells))]
 
-    if Xtr.shape[1] == 0:
-        raise EmptyDataset("no training windows")
     results = []
     for cell in order:
         hs, n = cells[cell]

@@ -33,22 +33,20 @@ class TestAdamStep:
 
     def test_zero_gradient_leaves_params_unchanged(self):
         params = {"a": np.array([1.5, -2.0]), "b": np.ones((2, 2))}
+        before = {k: p.copy() for k, p in params.items()}
         state = init_adam(params)
-        new_params, new_state = adam_step(
-            params, {k: np.zeros_like(p) for k, p in params.items()}, state, TrainConfig()
-        )
+        adam_step(params, {k: np.zeros_like(p) for k, p in params.items()}, state, TrainConfig())
         for k in params:
-            np.testing.assert_array_equal(new_params[k], params[k])
-        assert new_state.step == 1
+            np.testing.assert_array_equal(params[k], before[k])
+        assert state.step == 1
 
     def test_first_step_hand_value(self):
         """One step from 0 with gradient 1: m̂ = 1, v̂ = 1, so the update
         is −lr/(1+ε) ≈ −0.001."""
         params = self.params(0.0)
-        new_params, state = adam_step(
-            params, {"p": np.array([1.0])}, init_adam(params), TrainConfig()
-        )
-        assert new_params["p"][0] == pytest.approx(-0.001, rel=1e-6)
+        state = init_adam(params)
+        adam_step(params, {"p": np.array([1.0])}, state, TrainConfig())
+        assert params["p"][0] == pytest.approx(-0.001, rel=1e-6)
         assert state.step == 1
         assert state.m["p"][0] == pytest.approx(0.1)
         assert state.v["p"][0] == pytest.approx(0.001)
@@ -62,21 +60,48 @@ class TestAdamStep:
         trajectory = []
         for _ in range(100):
             grads = {"p": 2.0 * params["p"]}
-            params, state = adam_step(params, grads, state, config)
+            adam_step(params, grads, state, config)
             trajectory.append(float(params["p"][0]))
         ref_theta, ref_traj = reference_adam(lambda t: 2.0 * t, 1.0, 0.1, 100)
         assert abs(params["p"][0]) < 0.1
         np.testing.assert_allclose(trajectory, ref_traj, rtol=1e-12)
         assert params["p"][0] == pytest.approx(ref_theta, rel=1e-12)
 
-    def test_inputs_not_mutated(self):
+    def test_updates_in_place(self):
+        """The update lands in the arrays it was given, so a model's own
+        parameter views (`model_parameters`) train the model directly."""
         params = {"p": np.array([1.0])}
-        grads = {"p": np.array([0.5])}
+        array = params["p"]
         state = init_adam(params)
-        adam_step(params, grads, state, TrainConfig())
-        assert params["p"][0] == 1.0
+        m, v = state.m["p"], state.v["p"]
+        assert adam_step(params, {"p": np.array([0.5])}, state, TrainConfig()) is None
+        assert params["p"] is array and state.m["p"] is m and state.v["p"] is v
+        assert array[0] < 1.0
+        assert m[0] == pytest.approx(0.05) and v[0] == pytest.approx(0.00025)
+        assert state.step == 1
+
+    @pytest.mark.parametrize(
+        "grads",
+        [{"a": np.ones(3), "b": np.ones(4)}, {"a": np.ones(3), "c": np.ones(2)}],
+        ids=["shape", "key"],
+    )
+    def test_mismatch_changes_nothing(self, grads):
+        """Keys and shapes are all checked before the first write: a bad
+        entry after a good one still leaves every array and the step as
+        they were."""
+        params = {"a": np.ones(3), "b": np.ones(2)}
+        state = init_adam(params)
+        state.m["a"][:] = 0.5
+        before = {
+            name: {k: a.copy() for k, a in d.items()}
+            for name, d in (("params", params), ("m", state.m), ("v", state.v))
+        }
+        with pytest.raises(ShapeMismatch):
+            adam_step(params, grads, state, TrainConfig())
+        for name, d in (("params", params), ("m", state.m), ("v", state.v)):
+            for k, a in d.items():
+                np.testing.assert_array_equal(a, before[name][k])
         assert state.step == 0
-        assert state.m["p"][0] == 0.0
 
     def test_shape_mismatch(self):
         params = {"p": np.ones(3)}

@@ -30,15 +30,14 @@ from hivewatch.detector import (
     write_threshold,
 )
 from hivewatch.errors import EmptyValidation, LengthMismatch
-from hivewatch.nn import init_model, model_parameters, set_model_parameters
+from hivewatch.nn import init_model, model_parameters
 
 
 def blind_model(window_size=4, norm=IDENT_NORM):
     """Model that reconstructs every window as zeros."""
     model = init_model(2, 1, window_size, seed=0, norm=norm)
-    set_model_parameters(
-        model, {k: np.zeros_like(p) for k, p in model_parameters(model).items()}
-    )
+    for p in model_parameters(model).values():
+        p[...] = 0.0
     return model
 
 

@@ -105,12 +105,9 @@ class TestGradientStructure:
     def test_zero_residual_zeroes_output_bias_gradient(self):
         """All-zero weights on a zero window reconstruct exactly, so the
         output-bias gradient (the summed residual) is zero."""
-        from hivewatch.nn import set_model_parameters
-
         model = init_model(4, 1, 12, seed=0, norm=IDENT_NORM)
-        set_model_parameters(
-            model, {k: np.zeros_like(p) for k, p in model_parameters(model).items()}
-        )
+        for p in model_parameters(model).values():
+            p[...] = 0.0
         grads = backward(model, np.zeros(12))
         assert grads["output.b"][0] == 0.0
         for arr in grads.values():

@@ -24,7 +24,6 @@ from hivewatch.nn import (
     lstm_forward,
     model_parameters,
     reconstruction_loss,
-    set_model_parameters,
 )
 from hivewatch.nn.model import SCORE_BATCH, _chunk_bounds, _forward_batch, reconstruction_errors
 
@@ -103,9 +102,8 @@ class TestForward:
         the cell candidate tanh(0) kills the state, and the zero output
         projection kills whatever is left."""
         model = init_model(4, 2, 12, seed=9, norm=IDENT_NORM)
-        set_model_parameters(
-            model, {k: np.zeros_like(p) for k, p in model_parameters(model).items()}
-        )
+        for p in model_parameters(model).values():
+            p[...] = 0.0
         y = forward(model, np.random.default_rng(3).normal(size=12))
         np.testing.assert_array_equal(y, np.zeros(12))
 

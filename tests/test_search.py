@@ -85,10 +85,15 @@ class TestRandomSearch:
         assert all(r.best_val_loss == 0.0 for r in results)
         assert [(r.hs, r.n) for r in results] == [(2, 1), (2, 2), (3, 1), (3, 2)]
 
-    def test_empty_windows(self):
+    def test_empty_windows(self, tmp_path):
+        """The first trial's `train` rejects the empty set before any
+        checkpoint is written."""
         space = SearchSpace(hs_range=(2, 2), n_range=(1, 1), trials=1)
         with pytest.raises(EmptyDataset):
-            random_search(space, np.empty((8, 0)), tiny_windows(2), NORM, FAST)
+            random_search(
+                space, np.empty((8, 0)), tiny_windows(2), NORM, FAST, out_dir=tmp_path
+            )
+        assert list(tmp_path.glob("model_*.bin")) == []
 
     def test_empty_grid(self):
         space = SearchSpace.__new__(SearchSpace)  # bypass range validation

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import IDENT_NORM
 from hivewatch.detector import window_errors
-from hivewatch.errors import EmptyDataset
+from hivewatch.errors import EmptyDataset, LengthMismatch
 from hivewatch.nn import (
     TrainConfig,
     evaluate,
@@ -112,6 +112,17 @@ class TestTrain:
             train(model, np.empty((16, 0)), wins)
         with pytest.raises(EmptyDataset):
             train(model, wins, np.empty((16, 0)))
+
+    def test_window_length_mismatch_names_the_matrix(self):
+        """A transposed validation matrix is a length error that names
+        `Xval`, not an empty-set error about `Xtr`."""
+        model = init_model(4, 1, 16, seed=0, norm=IDENT_NORM)
+        rng = np.random.default_rng(2)
+        Xtr, Xval = level_windows(rng, 8), level_windows(rng, 5)
+        with pytest.raises(LengthMismatch, match="Xval has 5 rows"):
+            train(model, Xtr, Xval.T)
+        with pytest.raises(LengthMismatch, match="Xtr has 8 rows"):
+            train(model, Xtr.T, Xval)
 
     def test_loss_history_recorded_per_epoch(self):
         rng = np.random.default_rng(3)
