@@ -12,10 +12,20 @@ stacked weights [U | W | b], with the sigmoid rows negated, against a
 small state buffer [h_{t-1}; x_t; 1]. Callers see time-major
 (T, B, features) arrays; the transposes between the two layouts are
 views.
+
+The backward comes in three parts, so that a caller can run them on
+different threads: `lstm_prepare` turns the forward cache, in place,
+into the factors the recurrence reads (before: gate activations, cell
+states and their tanh; after: the gate-gradient factors, the forget
+gates and dc/dh, as `LSTMCache` lists); `lstm_backward` runs the
+recurrence; `lstm_weight_grads` sums the weight gradients. Called on a
+fresh cache, `lstm_backward` does all three. A cache feeds one backward.
 """
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,11 +71,15 @@ def init_layer(input_size: int, hidden_size: int, rng: np.random.Generator) -> L
     return LSTMLayerParams(input_size, hidden_size, W, U, b)
 
 
+@functools.cache
 def _gate_rows(hs: int) -> np.ndarray:
     """Row order taking [i, f, g, o] to [i, f, o, g]. It swaps the last
-    two blocks, so it is its own inverse."""
+    two blocks, so it is its own inverse. Read-only: every layer of
+    width `hs` shares it."""
     rows = np.arange(4 * hs)
-    return np.concatenate([rows[: 2 * hs], rows[3 * hs :], rows[2 * hs : 3 * hs]])
+    rows = np.concatenate([rows[: 2 * hs], rows[3 * hs :], rows[2 * hs : 3 * hs]])
+    rows.setflags(write=False)
+    return rows
 
 
 def _time_invariant(X: np.ndarray) -> bool:
@@ -75,9 +89,23 @@ def _time_invariant(X: np.ndarray) -> bool:
 
 @dataclass
 class LSTMCache:
-    """Forward-pass intermediates needed by the backward pass.
+    """What one forward pass leaves for its one backward pass.
 
     All but `X` are feature-major: (T, rows, B) sequences, (hs, B) states.
+    `lstm_prepare` rewrites `Z`, `C` and `TC` in place into the factors
+    the backward's recurrence reads, so a cache feeds exactly one
+    backward. `stage` tells which form the arrays hold:
+
+    - "forward": as the forward wrote them (the field comments below);
+    - "prepared": `Z` holds the gate-gradient factors dZ (rows [i, f, o,
+      g]: i'·g, f'·c_{t-1}, o'·tanh(c) and g'·i, where ' is the
+      derivative of the gate's activation), `C` the forget gates, and
+      `TC` dc/dh = o·(1 − tanh²c);
+    - "spent": the backward has run; `Z` holds the full gate gradients
+      the weight sums read, and `dZ_sum` their sum over steps when X is
+      time-invariant.
+
+    `X`, `H` and `h0` never change.
     """
 
     X: np.ndarray  # inputs as given, (T, B, D)
@@ -86,6 +114,8 @@ class LSTMCache:
     TC: np.ndarray  # tanh of cell states, (T, hs, B)
     H: np.ndarray  # hidden states, (T, hs, B)
     h0: np.ndarray  # initial hidden state, (hs, B)
+    stage: str = "forward"
+    dZ_sum: np.ndarray | None = None
 
 
 def lstm_forward(
@@ -164,12 +194,93 @@ def lstm_forward(
     return H.transpose(0, 2, 1), h_final.T, cache
 
 
+#: Most gate activations (steps x 4*hs x B) one block of `lstm_prepare`
+#: rewrites at a time, so that a block and its scratch stay in a core's
+#: L2 cache across the block's dozen elementwise passes. On a 2-vCPU
+#: x86-64 VM (2 MB L2 per core), one layer's prepare at (T 60, B 256)
+#: took 3.1 ms at hs 16 and 5.4 ms at hs 32 in these blocks, against
+#: 4.7 and 10.1 ms as one block.
+PREPARE_BLOCK = 1 << 16
+
+
+def _prepare_steps(cache: LSTMCache, lo: int, hi: int, c_before: np.ndarray | None) -> None:
+    """Rewrite steps [lo, hi) of a forward cache into backward factors,
+    block by block from the top down; `c_before` is the cell state
+    before step `lo` (None at step 0, where it is zero).
+
+    Each factor is computed by the same IEEE operations, in the same
+    order, as the whole-sequence expressions they replace:
+    (1 − s)·s then times the partner value for the sigmoid rows,
+    ((1 − g)·(1 + g))·i for the candidate rows and o·((1 − tc)·(1 + tc))
+    for dc/dh. A product's two operands may trade places (IEEE
+    multiplication commutes), but no product is regrouped. Going top
+    down, a block overwrites its cell states with its forget gates only
+    after the block above has read the one it needed.
+    """
+    Z, C, TC = cache.Z, cache.C, cache.TC
+    hs, B = C.shape[1], C.shape[2]
+    step = max(1, PREPARE_BLOCK // (4 * hs * B))
+    width = min(step, hi - lo)
+    sig = np.empty((width, 3 * hs, B))  # the sigmoid rows' factors
+    tmp = np.empty((width, hs, B))
+    for b in range(hi, lo, -step):
+        a = max(lo, b - step)
+        z, c, tc, s, u = Z[a:b], C[a:b], TC[a:b], sig[: b - a], tmp[: b - a]
+        i, f, o, g = z[:, :hs], z[:, hs : 2 * hs], z[:, 2 * hs : 3 * hs], z[:, 3 * hs :]
+        np.subtract(1.0, z[:, : 3 * hs], out=s)
+        s *= z[:, : 3 * hs]  # sigmoid' = s (1 - s)
+        s[:, :hs] *= g
+        s_f = s[:, hs : 2 * hs]
+        s_f[1:] *= C[a : b - 1]
+        if a > lo:
+            s_f[0] *= C[a - 1]
+        elif c_before is not None:
+            s_f[0] *= c_before
+        else:
+            s_f[0] = 0.0  # the initial cell state is zero
+        s[:, 2 * hs :] *= tc
+        np.subtract(1.0, g, out=u)
+        g += 1.0
+        g *= u  # tanh' = (1 - g)(1 + g)
+        g *= i
+        np.subtract(1.0, tc, out=u)
+        tc += 1.0
+        tc *= u
+        tc *= o  # dc/dh through h = o * tanh(c)
+        c[...] = f  # the loop's dc *= f_t; every read of these cell states is done
+        z[:, : 3 * hs] = s
+
+
+def lstm_prepare(cache: LSTMCache, parts: int = 1) -> list[Callable[[], None]]:
+    """The work that turns a forward cache into backward factors in place
+    (see `LSTMCache`), as up to `parts` zero-argument tasks over
+    consecutive ranges of steps, and the cache marked "prepared".
+
+    The tasks write disjoint memory and read nothing another one writes
+    (each copies the cell state before its range now), so they may run
+    in any order, on any threads, at the same time. `lstm_backward` may
+    run once every task has returned. A cache is prepared at most once:
+    a second call raises `ValueError`.
+    """
+    if cache.stage != "forward":
+        raise ValueError(f"forward cache is already {cache.stage}: each forward feeds one backward")
+    cache.stage = "prepared"
+    T = len(cache.Z)
+    bounds = sorted({j * T // parts for j in range(parts + 1)})
+    return [
+        functools.partial(_prepare_steps, cache, lo, hi, cache.C[lo - 1].copy() if lo else None)
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+
+
 def lstm_backward(
     params: LSTMLayerParams,
     cache: LSTMCache,
     dH: np.ndarray | None,
     dh_final: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+    input_grad: bool = True,
+    weight_grads: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray, dict[str, np.ndarray] | None]:
     """Backpropagation through time over one layer.
 
     `dH` is the loss gradient with respect to every emitted hidden state,
@@ -178,30 +289,30 @@ def lstm_backward(
     Returns (dX, dh0, grads) with grads keyed "W", "U", "b" in the
     [i, f, g, o] gate order. dX has the shape of X, except when X was
     time-invariant (see `lstm_forward`): then it is the gradient of the
-    one shared input, shape (1, B, input_size).
+    one shared input, shape (1, B, input_size). dX is None without
+    `input_grad`, and grads None without `weight_grads`; then
+    `lstm_weight_grads(cache)` gives them, on any thread.
+
+    A fresh cache is prepared here; one prepared by the tasks of
+    `lstm_prepare` is used as it is. A cache that has fed a backward
+    already raises `ValueError`: its arrays no longer hold the forward.
     """
-    X, Z, C, TC, H = cache.X, cache.Z, cache.C, cache.TC, cache.H
-    T, B, _ = X.shape
+    if cache.stage == "spent":
+        raise ValueError("forward cache is already spent: each forward feeds one backward")
+    if cache.stage == "forward":
+        for task in lstm_prepare(cache):
+            task()
+    cache.stage = "spent"
+    dZ, F, dc_dh = cache.Z, cache.C, cache.TC
+    T, _, B = dZ.shape
     hs = params.hidden_size
     rows = _gate_rows(hs)
     U = params.U[rows]
-    W = params.W[rows]
-
-    I, F, O, G = Z[:, :hs], Z[:, hs : 2 * hs], Z[:, 2 * hs : 3 * hs], Z[:, 3 * hs :]
-    # dZ starts as the part of each gate's gradient that is known before
-    # the loop, for all steps at once; the loop then scales rows i, f, g
-    # by the cell gradient dc and rows o by the hidden gradient dh.
-    dZ = 1.0 - Z
-    dZ[:, : 3 * hs] *= Z[:, : 3 * hs]  # sigmoid' = s (1 - s)
-    dZ[:, 3 * hs :] *= 1.0 + G  # tanh' = (1 - g)(1 + g)
-    dZ[:, :hs] *= G
-    dZ[1:, hs : 2 * hs] *= C[:-1]
-    dZ[0, hs : 2 * hs] = 0.0  # the initial cell state is zero
-    dZ[:, 2 * hs : 3 * hs] *= TC
-    dZ[:, 3 * hs :] *= I
-    dc_dh = O * ((1.0 - TC) * (1.0 + TC))  # through h = o * tanh(c)
     dH_steps = None if dH is None else np.asarray(dH, dtype=np.float64).transpose(0, 2, 1)
 
+    # dZ starts as the part of each gate's gradient that is known before
+    # the loop; the loop scales rows i, f, g by the cell gradient dc and
+    # rows o by the hidden gradient dh.
     dh = np.zeros((hs, B)) if dh_final is None else np.array(np.transpose(dh_final), np.float64)
     dc = np.zeros((hs, B))
     dc_step = np.empty((hs, B))
@@ -218,18 +329,36 @@ def lstm_backward(
         dh = U.T @ dz
         dc *= F[t]
 
-    # Weight gradients sum over all (t, b) pairs.
-    dU = dZ[0] @ cache.h0.T
-    if T > 1:
-        dU += np.matmul(dZ[1:], H[:-1].transpose(0, 2, 1)).sum(axis=0)
+    X = cache.X
     if _time_invariant(X):
         # One input shared by every step: its gradient and dW both see the
         # step-summed dZ, never a T-fold copy of it.
-        dZ_sum = dZ.sum(axis=0)
-        dW = dZ_sum @ X[0]
-        dX = (W.T @ dZ_sum).T[None]
+        cache.dZ_sum = dZ.sum(axis=0)
+    dX = None
+    if input_grad:
+        W = params.W[rows]
+        if cache.dZ_sum is not None:
+            dX = (W.T @ cache.dZ_sum).T[None]
+        else:
+            dX = np.matmul(W.T, dZ).transpose(0, 2, 1)
+    grads = lstm_weight_grads(cache) if weight_grads else None
+    return dX, dh.T, grads
+
+
+def lstm_weight_grads(cache: LSTMCache) -> dict[str, np.ndarray]:
+    """The weight gradients of a spent cache: sums over all (t, b) pairs,
+    keyed "W", "U", "b" in the [i, f, g, o] gate order. Reads the cache
+    and writes nothing to it, so it may run on another thread while the
+    next layer's backward runs."""
+    if cache.stage != "spent":
+        raise ValueError(f"weight gradients need a spent cache, not a {cache.stage} one")
+    dZ, H, X = cache.Z, cache.H, cache.X
+    rows = _gate_rows(H.shape[1])
+    dU = dZ[0] @ cache.h0.T
+    if len(dZ) > 1:
+        dU += np.matmul(dZ[1:], H[:-1].transpose(0, 2, 1)).sum(axis=0)
+    if cache.dZ_sum is not None:
+        dW = cache.dZ_sum @ X[0]
     else:
         dW = np.matmul(dZ, X).sum(axis=0)
-        dX = np.matmul(W.T, dZ).transpose(0, 2, 1)
-    grads = {"W": dW[rows], "U": dU[rows], "b": dZ.sum(axis=(0, 2))[rows]}
-    return dX, dh.T, grads
+    return {"W": dW[rows], "U": dU[rows], "b": dZ.sum(axis=(0, 2))[rows]}

@@ -143,7 +143,7 @@ class TestForwardOnly:
             p += rng.normal(0.0, 0.5, size=p.shape)
         X = rng.normal(size=(12, 33))
         plain = _forward_batch(model, X)
-        cached = _forward_batch(model, X, keep_cache=True)
+        cached = _forward_batch(model, X, on_cache=lambda cache: None)
         assert all(c is None for c in (*plain.encoder, *plain.decoder))
         np.testing.assert_array_equal(plain.Y, cached.Y)
 
@@ -249,11 +249,11 @@ class TestParallelScoring:
         start = _chunk_bounds(1381)[1][0]
         real, threads = _forward_batch, []
 
-        def fail_on_chunk_1(model, chunk, keep_cache=False):
+        def fail_on_chunk_1(model, chunk):
             if np.array_equal(chunk[:, 0], X[:, start]):
                 threads.append(threading.current_thread())
                 raise ChunkFailed("chunk 1")
-            return real(model, chunk, keep_cache)
+            return real(model, chunk)
 
         monkeypatch.setattr(nn_model, "_forward_batch", fail_on_chunk_1)
         with pytest.raises(ChunkFailed):
