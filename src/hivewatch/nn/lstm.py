@@ -118,26 +118,42 @@ class LSTMCache:
     dZ_sum: np.ndarray | None = None
 
 
+def _gate_views(z: np.ndarray, hs: int) -> tuple[np.ndarray, ...]:
+    """Views of a (4*hs, B) gate block, rows [i, f, o, g]: the three
+    sigmoid gates together, then i, f, o and g."""
+    return z[: 3 * hs], z[:hs], z[hs : 2 * hs], z[2 * hs : 3 * hs], z[3 * hs :]
+
+
 def lstm_forward(
     params: LSTMLayerParams,
     X: np.ndarray,
     h0: np.ndarray | None = None,
     keep_cache: bool = True,
-) -> tuple[np.ndarray, np.ndarray, LSTMCache | None]:
+    emit: str | np.ndarray = "states",
+) -> tuple[np.ndarray | None, np.ndarray, LSTMCache | None]:
     """Run the layer over a (T, B, input_size) batch of sequences, from
     the initial hidden state `h0` (B, hs; zero when None) and a zero cell
     state.
 
-    Returns the hidden-state sequence (T, B, hs), the final hidden state
+    Returns what `emit` asks for at each step, the final hidden state
     (B, hs), and the cache `lstm_backward` consumes; the cache is None,
-    and never built, when `keep_cache` is false. Both settings run the
-    same loop and give bit-identical outputs.
+    and never built, when `keep_cache` is false. `emit` is one of
 
-    Each step copies x_t into a (hs + input_size + 1, B) buffer that
-    already holds h_{t-1} and a row of ones, and computes all four gate
-    pre-activations with one matmul against [U | W | b]. No T-long input
-    projection is built, so an X whose time axis has stride 0 (such as
-    `np.broadcast_to` of one (B, input_size) array) needs no special case.
+    - "states": the hidden-state sequence, (T, B, hs);
+    - "final": nothing (None), so without the cache no sequence is kept;
+    - a (hs,) vector w: the readout Y (T, B), Y[t] = h_t · w, each step
+      one matrix-vector product of the same (B, hs) layout as
+      `states @ w` uses, so it gives the same bits.
+
+    Both `keep_cache` settings run the same loop and give bit-identical
+    outputs.
+
+    Each step computes all four gate pre-activations with one matmul of
+    [U | W | b] against a (hs + input_size + 1, B) buffer holding h_{t-1},
+    x_t and a row of ones, and writes h_t back into it. No T-long input
+    projection is built. An X whose time axis has stride 0 (such as
+    `np.broadcast_to` of one (B, input_size) array) is copied into the
+    buffer once, not at every step.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 3 or X.shape[2] != params.input_size:
@@ -146,52 +162,71 @@ def lstm_forward(
         )
     T, B, D = X.shape
     hs = params.hidden_size
+    if isinstance(emit, str):
+        if emit not in ("states", "final"):
+            raise ValueError(f"emit must be 'states', 'final' or a readout vector, not {emit!r}")
+        w, states = None, emit == "states"
+    else:
+        w, states = np.asarray(emit, dtype=np.float64), False
+        if w.shape != (hs,):
+            raise ShapeMismatch(f"readout shape {w.shape}, expected ({hs},)")
     rows = _gate_rows(hs)
     # Stacked weights [U | W | b], gate rows [i, f, o, g]. The sigmoid rows
     # are negated (exact in IEEE arithmetic), so z holds -pre-activation
     # there and each sigmoid is 1 / (1 + exp(z)).
     A = np.concatenate([params.U[rows], params.W[rows], params.b[rows, None]], axis=1)
     np.negative(A[: 3 * hs], out=A[: 3 * hs])
-    # [h_{t-1}; x_t; 1]: the loop rewrites the h and x rows at every step.
+    # [h_{t-1}; x_t; 1]: the loop rewrites the h rows at every step, and
+    # the x rows at every step unless every step reads the same input.
     hx = np.empty((hs + D + 1, B))
     h, x = hx[:hs], hx[hs : hs + D]
     hx[hs + D] = 1.0
     h[...] = 0.0 if h0 is None else np.transpose(h0)
+    fixed_x = T > 0 and _time_invariant(X)
+    if fixed_x:
+        x[...] = X[0].T
     c = np.zeros((hs, B))
-    h_init = h.copy()
-    H = np.empty((T, hs, B))
+    h_init = h.copy() if keep_cache else None
+    H = np.empty((T, hs, B)) if keep_cache or states else None
+    Y = np.empty((T, B)) if w is not None else None
     ig = np.empty((hs, B))
     if keep_cache:
         Z, C, TC = np.empty((T, 4 * hs, B)), np.empty((T, hs, B)), np.empty((T, hs, B))
     else:
-        z = np.empty((4 * hs, B))  # one buffer reused at every step
+        # One gate block serves every step; c updates in place and
+        # tanh(c) lands in h, which o then scales into h_t.
+        z = np.empty((4 * hs, B))
+        gates, c_next, tc = _gate_views(z, hs), c, h
 
     # exp(z) overflows to inf for z > 709; 1/(1+inf) is then exactly 0.
     with np.errstate(over="ignore"):
         for t in range(T):
             if keep_cache:
                 z, c_next, tc = Z[t], C[t], TC[t]
-            else:
-                c_next, tc = c, H[t]  # c updates in place; tanh(c) lands in H[t]
-            x[...] = X[t].T
+                gates = _gate_views(z, hs)
+            s, i, f, o, g = gates
+            if not fixed_x:
+                x[...] = X[t].T
             np.matmul(A, hx, out=z)
-            s = z[: 3 * hs]
             np.exp(s, out=s)
             s += 1.0
             np.divide(1.0, s, out=s)
-            i, f, o, g = z[:hs], z[hs : 2 * hs], z[2 * hs : 3 * hs], z[3 * hs :]
             np.tanh(g, out=g)
             np.multiply(i, g, out=ig)
             np.multiply(f, c, out=c_next)
             c_next += ig
             np.tanh(c_next, out=tc)
-            np.multiply(o, tc, out=H[t])
-            h[...] = H[t]
+            np.multiply(o, tc, out=h)
+            if H is not None:
+                H[t] = h
+            if Y is not None:
+                np.matmul(h.T, w, out=Y[t])
             c = c_next
 
     cache = LSTMCache(X=X, Z=Z, C=C, TC=TC, H=H, h0=h_init) if keep_cache else None
-    h_final = H[-1] if T else h_init
-    return H.transpose(0, 2, 1), h_final.T, cache
+    if states:
+        return H.transpose(0, 2, 1), h.T, cache
+    return Y, h.T, cache
 
 
 #: Most gate activations (steps x 4*hs x B) one block of `lstm_prepare`

@@ -11,6 +11,10 @@ Scoring (`reconstruction_errors`) and the training step
 CPU beyond the caller's: scoring deals it whole chunks of windows, and
 the training step hands it each layer's backward preparation and the
 decoder's weight sums. Neither result depends on the number of CPUs.
+Scoring keeps no backward cache, and the top encoder and decoder
+layers keep no hidden-state sequence: with one layer each, a scoring
+thread holds its chunk's (T, B) reconstruction and step buffers of
+(4*hs, B) or less.
 """
 
 from __future__ import annotations
@@ -140,8 +144,13 @@ def model_parameters(model: AutoencoderModel) -> dict[str, np.ndarray]:
 class _ForwardCache:
     encoder: list[LSTMCache | None]
     decoder: list[LSTMCache | None]
-    top: np.ndarray  # top decoder hidden states, (T, B, hs)
     Y: np.ndarray  # (T, B)
+
+    @property
+    def top(self) -> np.ndarray:
+        """Top decoder hidden states, (T, B, hs); only the backward cache
+        keeps them."""
+        return self.decoder[-1].H.transpose(0, 2, 1)
 
 
 def _forward_batch(
@@ -151,6 +160,13 @@ def _forward_batch(
 ) -> _ForwardCache:
     """Forward pass over a (T, B) batch of z-scored windows.
 
+    Each layer emits only what is read of it (see `lstm_forward`): a
+    layer that feeds another its hidden-state sequence, the top encoder
+    layer only its final state (the latent code), and the top decoder
+    layer the readout h_t · w_out at each step. So without the backward
+    caches no (T, hs, B) sequence outlives the layer above it, and the
+    top layers keep none.
+
     The per-layer backward caches are built only when `on_cache` is
     given. It receives each one (encoder, then decoder, bottom up) as
     soon as its layer's forward returns, before the next layer's starts.
@@ -158,34 +174,33 @@ def _forward_batch(
     """
     T, B = X.shape
     hs = model.hidden_size
+    top = model.n_layers - 1
     keep_cache = on_cache is not None
 
     seq = X[:, :, None]
     enc_caches = []
-    h_final = None
-    for layer in model.encoder_layers:
-        seq, h_final, cache = lstm_forward(layer, seq, keep_cache=keep_cache)
+    for k, layer in enumerate(model.encoder_layers):
+        emit = "final" if k == top else "states"
+        seq, latent, cache = lstm_forward(layer, seq, keep_cache=keep_cache, emit=emit)
         enc_caches.append(cache)
         if on_cache is not None:
             on_cache(cache)
-    # A copy, so that the encoder's (T, hs, B) output is freed before the
-    # decoder allocates its own. It keeps the view's memory layout: the
-    # backward's matmuls against the code round by layout.
-    latent = h_final.copy(order="K")  # (B, hs)
-    del seq, h_final
 
-    # The code tiled over T as a stride-0 view: the bottom decoder layer
-    # projects it once instead of once per step.
-    dec_seq = np.broadcast_to(latent, (T, B, hs))
+    # The latent code is a (B, hs) view of the top encoder layer's state
+    # buffer, column-major; the backward's matmuls against it round by
+    # that layout. Tiled over T as a stride-0 view, the bottom decoder
+    # layer copies it into its own state buffer once, not once per step.
+    seq = np.broadcast_to(latent, (T, B, hs))
     dec_caches = []
-    for layer in model.decoder_layers:
-        dec_seq, _, cache = lstm_forward(layer, dec_seq, h0=latent, keep_cache=keep_cache)
+    for k, layer in enumerate(model.decoder_layers):
+        emit = model.w_out[0] if k == top else "states"
+        seq, _, cache = lstm_forward(layer, seq, h0=latent, keep_cache=keep_cache, emit=emit)
         dec_caches.append(cache)
         if on_cache is not None:
             on_cache(cache)
 
-    Y = dec_seq @ model.w_out[0] + model.b_out[0]
-    return _ForwardCache(encoder=enc_caches, decoder=dec_caches, top=dec_seq, Y=Y)
+    seq += model.b_out[0]
+    return _ForwardCache(encoder=enc_caches, decoder=dec_caches, Y=seq)
 
 
 def _one_window(model: AutoencoderModel, x: np.ndarray) -> np.ndarray:
@@ -204,9 +219,13 @@ def forward(model: AutoencoderModel, x: np.ndarray) -> np.ndarray:
 
 
 def _chunk_errors(model: AutoencoderModel, chunk: np.ndarray) -> np.ndarray:
-    """Each column's mean squared error; the reconstruction is freed on
-    return, before the next chunk's forward allocates."""
-    return np.mean((_forward_batch(model, chunk).Y - chunk) ** 2, axis=0)
+    """Each column's mean squared error. The residual is formed and
+    squared in the reconstruction's own array, which is freed on return,
+    before the next chunk's forward allocates."""
+    R = _forward_batch(model, chunk).Y
+    R -= chunk
+    np.square(R, out=R)
+    return np.mean(R, axis=0)
 
 
 def _chunk_bounds(n: int) -> list[tuple[int, int]]:

@@ -322,9 +322,8 @@ class TestParallelScoring:
                 window_errors(model, X)
 
     def test_cache_free_forward_frees_encoder_sequence(self):
-        """The latent code is copied out of the encoder's (T, hs, B)
-        output, which is freed before the decoder builds its own: the
-        peak stays well under two such blocks."""
+        """Neither top layer keeps a (T, hs, B) hidden-state sequence:
+        the peak stays well under two such blocks."""
         T, B, hs = 60, 512, 16
         model = init_model(hs, 1, T, seed=0, norm=IDENT_NORM)
         X = np.random.default_rng(1).normal(size=(T, B))
