@@ -83,16 +83,19 @@ def _jsonable(value):
     return value
 
 
-def _write_manifest(args, inputs: list, outputs: list, trace=None) -> Path:
+def _write_manifest(args, inputs: list, outputs: list, trace=None, digests=None) -> Path:
     """Write everything needed to re-run one command bit-identically,
-    plus the trace's ingest report when the command read one."""
+    plus the trace's ingest report when the command read one. `digests`
+    maps an input's path to the SHA-256 the command already took of it,
+    so that file is not read again."""
+    digests = digests or {}
     doc = {
         "command": args.command,
         "tool_version": __version__,
         "parameters": {
             k: _jsonable(v) for k, v in vars(args).items() if k not in ("func", "command")
         },
-        "inputs": {str(p): _sha256(p) for p in inputs},
+        "inputs": {str(p): digests.get(p) or _sha256(p) for p in inputs},
         "outputs": [Path(p).name for p in outputs],
     }
     if trace is not None:
@@ -304,6 +307,7 @@ def cmd_calibrate(args) -> int:
         inputs=[args.checkpoint, args.input, args.splits],
         outputs=[threshold_path],
         trace=trace,
+        digests={args.splits: digest},
     )
     stats = threshold.calibration_stats
     extra = (

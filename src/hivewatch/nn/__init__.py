@@ -5,6 +5,7 @@ from .checkpoint import load_model, save_model
 from .lstm import LSTMLayerParams, init_layer, lstm_backward, lstm_forward
 from .model import (
     AutoencoderModel,
+    StepBuffers,
     backward,
     forward,
     init_model,
@@ -19,6 +20,7 @@ __all__ = [
     "AutoencoderModel",
     "EpochStats",
     "LSTMLayerParams",
+    "StepBuffers",
     "TrainConfig",
     "TrainResult",
     "adam_step",

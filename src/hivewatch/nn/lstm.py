@@ -6,26 +6,26 @@ output], so all three have leading dimension 4*hidden_size.
 
 The recurrence itself runs feature-major: states are (hs, B) blocks and
 the gate pre-activations one (4*hs, B) block whose rows are permuted to
-[input, forget, output, cell-candidate], so a single in-place sigmoid
-covers the three sigmoid gates. Each forward step is one matmul: the
+[input, forget, output, cell-candidate], so a single sigmoid covers the
+three sigmoid gates. Each forward step is one matmul: the
 stacked weights [U | W | b], with the sigmoid rows negated, against a
 small state buffer [h_{t-1}; x_t; 1]. Callers see time-major
 (T, B, features) arrays; the transposes between the two layouts are
 views.
 
-The backward comes in three parts, so that a caller can run them on
-different threads: `lstm_prepare` turns the forward cache, in place,
-into the factors the recurrence reads (before: gate activations, cell
-states and their tanh; after: the gate-gradient factors, the forget
-gates and dc/dh, as `LSTMCache` lists); `lstm_backward` runs the
-recurrence; `lstm_weight_grads` sums the weight gradients. Called on a
-fresh cache, `lstm_backward` does all three. A cache feeds one backward.
+The cached forward writes the factors the backward's recurrence reads
+(the gate-gradient factors, the forget gates and dc/dh, as `LSTMCache`
+lists), not the raw activations, one block of steps at a time while the
+block is still in cache. The backward
+comes in two parts, so that a caller can run them on different threads:
+`lstm_backward` runs the recurrence, and `lstm_weight_grads` sums the
+weight gradients; by default `lstm_backward` does both. A cache feeds
+one backward.
 """
 
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,39 +89,81 @@ def _time_invariant(X: np.ndarray) -> bool:
 
 @dataclass
 class LSTMCache:
-    """What one forward pass leaves for its one backward pass.
+    """What one forward pass leaves for its one backward pass: only what
+    the backward reads, 7·T·hs·B float64 in all.
 
     All but `X` are feature-major: (T, rows, B) sequences, (hs, B) states.
-    `lstm_prepare` rewrites `Z`, `C` and `TC` in place into the factors
-    the backward's recurrence reads, so a cache feeds exactly one
-    backward. `stage` tells which form the arrays hold:
-
-    - "forward": as the forward wrote them (the field comments below);
-    - "prepared": `Z` holds the gate-gradient factors dZ (rows [i, f, o,
-      g]: i'·g, f'·c_{t-1}, o'·tanh(c) and g'·i, where ' is the
-      derivative of the gate's activation), `C` the forget gates, and
-      `TC` dc/dh = o·(1 − tanh²c);
-    - "spent": the backward has run; `Z` holds the full gate gradients
-      the weight sums read, and `dZ_sum` their sum over steps when X is
-      time-invariant.
-
-    `X`, `H` and `h0` never change.
+    The forward writes the factors block by block as it goes. `dZ` holds
+    the gate-gradient factors, rows [i, f, o, g]: i'·g, f'·c_{t-1},
+    o'·tanh(c) and g'·i, where ' is the derivative of the gate's
+    activation. The backward scales them in place into the full gate
+    gradients, which the weight sums read; so a cache feeds exactly one
+    backward (`spent`). `dZ_sum` is the gate gradients' sum over steps
+    when X is time-invariant. `X`, `H`, `h0` and `readout` never change.
+    Nothing reads `F` or `dc_dh` once the cache is spent.
     """
 
     X: np.ndarray  # inputs as given, (T, B, D)
-    Z: np.ndarray  # gate activations, rows [i, f, o, g], (T, 4*hs, B)
-    C: np.ndarray  # cell states, (T, hs, B)
-    TC: np.ndarray  # tanh of cell states, (T, hs, B)
+    dZ: np.ndarray  # gate-gradient factors, rows [i, f, o, g], (T, 4*hs, B)
+    F: np.ndarray  # forget gates, (T, hs, B)
+    dc_dh: np.ndarray  # dc/dh through h = o·tanh(c): o·(1 − tanh²c), (T, hs, B)
     H: np.ndarray  # hidden states, (T, hs, B)
     h0: np.ndarray  # initial hidden state, (hs, B)
-    stage: str = "forward"
+    readout: np.ndarray | None = None  # the (hs,) readout vector the forward emitted through
+    spent: bool = False
     dZ_sum: np.ndarray | None = None
 
 
-def _gate_views(z: np.ndarray, hs: int) -> tuple[np.ndarray, ...]:
-    """Views of a (4*hs, B) gate block, rows [i, f, o, g]: the three
-    sigmoid gates together, then i, f, o and g."""
-    return z[: 3 * hs], z[:hs], z[hs : 2 * hs], z[2 * hs : 3 * hs], z[3 * hs :]
+#: Most gate activations (steps x 4*hs x B) the cached forward turns
+#: into backward factors at a time (see `_write_factors`): a block and
+#: its scratch stay in a core's L2 cache between the forward's writes
+#: and the block's dozen elementwise passes, and a narrow batch does
+#: them over many steps per call. On a 2-vCPU x86-64 VM (2 MB L2 per
+#: core), one layer's cached forward and backward at (T 60, B 256,
+#: hs 16), 4 steps a block, took 7.6-7.8 ms, against 7.7-7.8 ms at
+#: 1 << 13, 8.8-8.9 ms at 1 << 18 and 9.5-9.7 ms as one block; at
+#: (60, 64, 4), 1.06 ms, against 1.13-1.14 ms at 1 << 13.
+FACTOR_BLOCK = 1 << 16
+
+
+def _write_factors(
+    z: np.ndarray, sig: np.ndarray, c: np.ndarray, tc: np.ndarray, c_before: np.ndarray, u: np.ndarray
+) -> None:
+    """Turn a block of n consecutive cached steps, as the forward wrote
+    them, into the backward's factors in place (see `LSTMCache`). `z`
+    holds the candidate gates in its last hs rows, `sig[:n]` the sigmoid
+    gates [i, f, o], `c` the cell states and `tc` tanh(c); `z` then takes
+    the factors, `c` the forget gates and `tc` dc/dh. `c_before` holds
+    the cell state before the block and, on return, the block's last
+    one. `u` is scratch of at least n steps.
+
+    Each factor is computed by the same IEEE operations, in the same
+    order, as the whole-sequence expressions they replace: (1 − s)·s
+    then times the partner value for the sigmoid rows, ((1 − g)·(1 + g))·i
+    for the candidate rows and o·((1 − tc)·(1 + tc)) for dc/dh. A
+    product's two operands may trade places (IEEE multiplication
+    commutes), but no product is regrouped.
+    """
+    n, hs = len(z), c.shape[1]
+    sig, u = sig[:n], u[:n]
+    d, g = z[:, : 3 * hs], z[:, 3 * hs :]
+    np.subtract(1.0, sig, out=d)
+    d *= sig  # sigmoid' = s (1 - s)
+    d[:, :hs] *= g
+    d_f = d[:, hs : 2 * hs]
+    d_f[1:] *= c[:-1]
+    d_f[0] *= c_before  # zero before the first step
+    d[:, 2 * hs :] *= tc
+    np.subtract(1.0, g, out=u)
+    g += 1.0
+    g *= u  # tanh' = (1 - g)(1 + g)
+    g *= sig[:, :hs]
+    np.subtract(1.0, tc, out=u)
+    tc += 1.0
+    tc *= u
+    tc *= sig[:, 2 * hs :]  # dc/dh through h = o·tanh(c)
+    c_before[...] = c[-1]
+    c[...] = sig[:, hs : 2 * hs]  # the backward's dc *= f_t
 
 
 def lstm_forward(
@@ -130,6 +172,7 @@ def lstm_forward(
     h0: np.ndarray | None = None,
     keep_cache: bool = True,
     emit: str | np.ndarray = "states",
+    reuse: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray, LSTMCache | None]:
     """Run the layer over a (T, B, input_size) batch of sequences, from
     the initial hidden state `h0` (B, hs; zero when None) and a zero cell
@@ -146,14 +189,18 @@ def lstm_forward(
       `states @ w` uses, so it gives the same bits.
 
     Both `keep_cache` settings run the same loop and give bit-identical
-    outputs.
+    outputs. With `keep_cache`, `reuse` may hand over the (dZ, F, dc_dh,
+    H) arrays of a cache of the same shapes that nothing reads any more;
+    the new cache then writes them instead of allocating its own.
 
     Each step computes all four gate pre-activations with one matmul of
     [U | W | b] against a (hs + input_size + 1, B) buffer holding h_{t-1},
     x_t and a row of ones, and writes h_t back into it. No T-long input
     projection is built. An X whose time axis has stride 0 (such as
     `np.broadcast_to` of one (B, input_size) array) is copied into the
-    buffer once, not at every step.
+    buffer once, not at every step. With `keep_cache`, the loop turns
+    each block of `FACTOR_BLOCK` gate activations, in place while it is
+    still in cache, into the backward's factors (see `LSTMCache`).
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 3 or X.shape[2] != params.input_size:
@@ -185,32 +232,50 @@ def lstm_forward(
     fixed_x = T > 0 and _time_invariant(X)
     if fixed_x:
         x[...] = X[0].T
-    c = np.zeros((hs, B))
+    c = np.zeros((hs, B))  # c_{t-1}: zero before the first step
     h_init = h.copy() if keep_cache else None
-    H = np.empty((T, hs, B)) if keep_cache or states else None
+    if keep_cache and reuse is not None:
+        dZ, F, dc_dh, H = reuse
+        if dZ.shape != (T, 4 * hs, B) or any(arr.shape != (T, hs, B) for arr in (F, dc_dh, H)):
+            raise ShapeMismatch(f"arrays to reuse do not fit a ({T}, {hs}, {B}) cache")
+    elif keep_cache:
+        dZ, F, dc_dh = np.empty((T, 4 * hs, B)), np.empty((T, hs, B)), np.empty((T, hs, B))
+        H = np.empty((T, hs, B))
+    else:
+        H = np.empty((T, hs, B)) if states else None
     Y = np.empty((T, B)) if w is not None else None
     ig = np.empty((hs, B))
     if keep_cache:
-        Z, C, TC = np.empty((T, 4 * hs, B)), np.empty((T, hs, B)), np.empty((T, hs, B))
+        # Until its block ends, a step's slots hold what the forward reads
+        # and writes: the candidate gates in dZ, the cell state in F and
+        # tanh(c) in dc_dh; the sigmoid gates sit in `sig`. `c` then holds
+        # the block's last cell state.
+        width = min(T, max(1, FACTOR_BLOCK // (4 * hs * B)))
+        sig, u = np.empty((width, 3 * hs, B)), np.empty((width, hs, B))
+        c_block = c
+        a = 0  # the block's first step
     else:
-        # One gate block serves every step; c updates in place and
-        # tanh(c) lands in h, which o then scales into h_t.
+        # One gate block serves every step, sigmoid gates included; c
+        # updates in place and tanh(c) lands in h, which o then scales
+        # into h_t.
         z = np.empty((4 * hs, B))
-        gates, c_next, tc = _gate_views(z, hs), c, h
+        e, g = z[: 3 * hs], z[3 * hs :]
+        s, c_next, tc = e, c, h
+        i, f, o = s[:hs], s[hs : 2 * hs], s[2 * hs :]
 
     # exp(z) overflows to inf for z > 709; 1/(1+inf) is then exactly 0.
     with np.errstate(over="ignore"):
         for t in range(T):
             if keep_cache:
-                z, c_next, tc = Z[t], C[t], TC[t]
-                gates = _gate_views(z, hs)
-            s, i, f, o, g = gates
+                z, c_next, tc, s = dZ[t], F[t], dc_dh[t], sig[t - a]
+                e, g = z[: 3 * hs], z[3 * hs :]
+                i, f, o = s[:hs], s[hs : 2 * hs], s[2 * hs :]
             if not fixed_x:
                 x[...] = X[t].T
             np.matmul(A, hx, out=z)
-            np.exp(s, out=s)
-            s += 1.0
-            np.divide(1.0, s, out=s)
+            np.exp(e, out=e)
+            e += 1.0
+            np.divide(1.0, e, out=s)
             np.tanh(g, out=g)
             np.multiply(i, g, out=ig)
             np.multiply(f, c, out=c_next)
@@ -222,90 +287,16 @@ def lstm_forward(
             if Y is not None:
                 np.matmul(h.T, w, out=Y[t])
             c = c_next
+            if keep_cache and (t + 1 - a == width or t + 1 == T):
+                _write_factors(dZ[a : t + 1], sig, F[a : t + 1], dc_dh[a : t + 1], c_block, u)
+                c, a = c_block, t + 1
 
-    cache = LSTMCache(X=X, Z=Z, C=C, TC=TC, H=H, h0=h_init) if keep_cache else None
+    cache = None
+    if keep_cache:
+        cache = LSTMCache(X=X, dZ=dZ, F=F, dc_dh=dc_dh, H=H, h0=h_init, readout=w)
     if states:
         return H.transpose(0, 2, 1), h.T, cache
     return Y, h.T, cache
-
-
-#: Most gate activations (steps x 4*hs x B) one block of `lstm_prepare`
-#: rewrites at a time, so that a block and its scratch stay in a core's
-#: L2 cache across the block's dozen elementwise passes. On a 2-vCPU
-#: x86-64 VM (2 MB L2 per core), one layer's prepare at (T 60, B 256)
-#: took 3.1 ms at hs 16 and 5.4 ms at hs 32 in these blocks, against
-#: 4.7 and 10.1 ms as one block.
-PREPARE_BLOCK = 1 << 16
-
-
-def _prepare_steps(cache: LSTMCache, lo: int, hi: int, c_before: np.ndarray | None) -> None:
-    """Rewrite steps [lo, hi) of a forward cache into backward factors,
-    block by block from the top down; `c_before` is the cell state
-    before step `lo` (None at step 0, where it is zero).
-
-    Each factor is computed by the same IEEE operations, in the same
-    order, as the whole-sequence expressions they replace:
-    (1 − s)·s then times the partner value for the sigmoid rows,
-    ((1 − g)·(1 + g))·i for the candidate rows and o·((1 − tc)·(1 + tc))
-    for dc/dh. A product's two operands may trade places (IEEE
-    multiplication commutes), but no product is regrouped. Going top
-    down, a block overwrites its cell states with its forget gates only
-    after the block above has read the one it needed.
-    """
-    Z, C, TC = cache.Z, cache.C, cache.TC
-    hs, B = C.shape[1], C.shape[2]
-    step = max(1, PREPARE_BLOCK // (4 * hs * B))
-    width = min(step, hi - lo)
-    sig = np.empty((width, 3 * hs, B))  # the sigmoid rows' factors
-    tmp = np.empty((width, hs, B))
-    for b in range(hi, lo, -step):
-        a = max(lo, b - step)
-        z, c, tc, s, u = Z[a:b], C[a:b], TC[a:b], sig[: b - a], tmp[: b - a]
-        i, f, o, g = z[:, :hs], z[:, hs : 2 * hs], z[:, 2 * hs : 3 * hs], z[:, 3 * hs :]
-        np.subtract(1.0, z[:, : 3 * hs], out=s)
-        s *= z[:, : 3 * hs]  # sigmoid' = s (1 - s)
-        s[:, :hs] *= g
-        s_f = s[:, hs : 2 * hs]
-        s_f[1:] *= C[a : b - 1]
-        if a > lo:
-            s_f[0] *= C[a - 1]
-        elif c_before is not None:
-            s_f[0] *= c_before
-        else:
-            s_f[0] = 0.0  # the initial cell state is zero
-        s[:, 2 * hs :] *= tc
-        np.subtract(1.0, g, out=u)
-        g += 1.0
-        g *= u  # tanh' = (1 - g)(1 + g)
-        g *= i
-        np.subtract(1.0, tc, out=u)
-        tc += 1.0
-        tc *= u
-        tc *= o  # dc/dh through h = o * tanh(c)
-        c[...] = f  # the loop's dc *= f_t; every read of these cell states is done
-        z[:, : 3 * hs] = s
-
-
-def lstm_prepare(cache: LSTMCache, parts: int = 1) -> list[Callable[[], None]]:
-    """The work that turns a forward cache into backward factors in place
-    (see `LSTMCache`), as up to `parts` zero-argument tasks over
-    consecutive ranges of steps, and the cache marked "prepared".
-
-    The tasks write disjoint memory and read nothing another one writes
-    (each copies the cell state before its range now), so they may run
-    in any order, on any threads, at the same time. `lstm_backward` may
-    run once every task has returned. A cache is prepared at most once:
-    a second call raises `ValueError`.
-    """
-    if cache.stage != "forward":
-        raise ValueError(f"forward cache is already {cache.stage}: each forward feeds one backward")
-    cache.stage = "prepared"
-    T = len(cache.Z)
-    bounds = sorted({j * T // parts for j in range(parts + 1)})
-    return [
-        functools.partial(_prepare_steps, cache, lo, hi, cache.C[lo - 1].copy() if lo else None)
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
 
 
 def lstm_backward(
@@ -318,32 +309,39 @@ def lstm_backward(
 ) -> tuple[np.ndarray | None, np.ndarray, dict[str, np.ndarray] | None]:
     """Backpropagation through time over one layer.
 
-    `dH` is the loss gradient with respect to every emitted hidden state,
-    (T, B, hs) or None for no per-step gradient; `dh_final` adds gradient
-    arriving at the final hidden state from outside the sequence.
-    Returns (dX, dh0, grads) with grads keyed "W", "U", "b" in the
-    [i, f, g, o] gate order. dX has the shape of X, except when X was
-    time-invariant (see `lstm_forward`): then it is the gradient of the
-    one shared input, shape (1, B, input_size). dX is None without
-    `input_grad`, and grads None without `weight_grads`; then
-    `lstm_weight_grads(cache)` gives them, on any thread.
+    `dH` is the loss gradient with respect to what the forward emitted at
+    each step, or None for no per-step gradient: the hidden states,
+    (T, B, hs), or the readout, (T, B), when the forward emitted one; then
+    each step's hidden-state gradient w ⊗ dH[t] is formed in one (hs, B)
+    buffer. `dh_final` adds gradient arriving at the final hidden state
+    from outside the sequence. Returns (dX, dh0, grads) with grads keyed
+    "W", "U", "b" in the [i, f, g, o] gate order. dX has the shape of X,
+    except when X was time-invariant (see `lstm_forward`): then it is the
+    gradient of the one shared input, shape (1, B, input_size). dX is
+    None without `input_grad`, and grads None without `weight_grads`;
+    then `lstm_weight_grads(cache)` gives them, on any thread.
 
-    A fresh cache is prepared here; one prepared by the tasks of
-    `lstm_prepare` is used as it is. A cache that has fed a backward
-    already raises `ValueError`: its arrays no longer hold the forward.
+    A cache that has fed a backward already raises `ValueError`: its
+    arrays no longer hold the forward's factors.
     """
-    if cache.stage == "spent":
+    if cache.spent:
         raise ValueError("forward cache is already spent: each forward feeds one backward")
-    if cache.stage == "forward":
-        for task in lstm_prepare(cache):
-            task()
-    cache.stage = "spent"
-    dZ, F, dc_dh = cache.Z, cache.C, cache.TC
+    cache.spent = True
+    dZ, F, dc_dh, w = cache.dZ, cache.F, cache.dc_dh, cache.readout
     T, _, B = dZ.shape
     hs = params.hidden_size
     rows = _gate_rows(hs)
     U = params.U[rows]
-    dH_steps = None if dH is None else np.asarray(dH, dtype=np.float64).transpose(0, 2, 1)
+    dH_steps = None
+    if dH is not None:
+        dH = np.asarray(dH, dtype=np.float64)
+        want = (T, B) if w is not None else (T, B, hs)
+        if dH.shape != want:
+            raise ShapeMismatch(f"dH has shape {dH.shape}, expected {want}")
+        if w is None:
+            dH_steps = dH.transpose(0, 2, 1)
+        else:
+            dH_steps, w_col, dh_step = dH, w[:, None], np.empty((hs, B))
 
     # dZ starts as the part of each gate's gradient that is known before
     # the loop; the loop scales rows i, f, g by the cell gradient dc and
@@ -353,7 +351,11 @@ def lstm_backward(
     dc_step = np.empty((hs, B))
     for t in reversed(range(T)):
         if dH_steps is not None:
-            dh += dH_steps[t]
+            if w is None:
+                dh += dH_steps[t]
+            else:
+                np.multiply(w_col, dH_steps[t], out=dh_step)
+                dh += dh_step
         np.multiply(dh, dc_dh[t], out=dc_step)
         dc += dc_step
         dz = dZ[t]
@@ -385,9 +387,9 @@ def lstm_weight_grads(cache: LSTMCache) -> dict[str, np.ndarray]:
     keyed "W", "U", "b" in the [i, f, g, o] gate order. Reads the cache
     and writes nothing to it, so it may run on another thread while the
     next layer's backward runs."""
-    if cache.stage != "spent":
-        raise ValueError(f"weight gradients need a spent cache, not a {cache.stage} one")
-    dZ, H, X = cache.Z, cache.H, cache.X
+    if not cache.spent:
+        raise ValueError("weight gradients need a spent cache, not a forward one")
+    dZ, H, X = cache.dZ, cache.H, cache.X
     rows = _gate_rows(H.shape[1])
     dU = dZ[0] @ cache.h0.T
     if len(dZ) > 1:

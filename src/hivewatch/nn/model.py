@@ -9,8 +9,8 @@ state back to one reading, in forward time order.
 Scoring (`reconstruction_errors`) and the training step
 (`loss_and_gradients`) both use `_score_pool`, one worker thread per
 CPU beyond the caller's: scoring deals it whole chunks of windows, and
-the training step hands it each layer's backward preparation and the
-decoder's weight sums. Neither result depends on the number of CPUs.
+the training step hands it the weight sums of all layers but the last
+one it reaches. Neither result depends on the number of CPUs.
 Scoring keeps no backward cache, and the top encoder and decoder
 layers keep no hidden-state sequence: with one layer each, a scoring
 thread holds its chunk's (T, B) reconstruction and step buffers of
@@ -36,7 +36,6 @@ from .lstm import (
     init_layer,
     lstm_backward,
     lstm_forward,
-    lstm_prepare,
     lstm_weight_grads,
 )
 
@@ -156,7 +155,8 @@ class _ForwardCache:
 def _forward_batch(
     model: AutoencoderModel,
     X: np.ndarray,
-    on_cache: Callable[[LSTMCache], None] | None = None,
+    keep_cache: bool = False,
+    reuse: list[tuple[np.ndarray, ...]] | None = None,
 ) -> _ForwardCache:
     """Forward pass over a (T, B) batch of z-scored windows.
 
@@ -167,24 +167,23 @@ def _forward_batch(
     caches no (T, hs, B) sequence outlives the layer above it, and the
     top layers keep none.
 
-    The per-layer backward caches are built only when `on_cache` is
-    given. It receives each one (encoder, then decoder, bottom up) as
-    soon as its layer's forward returns, before the next layer's starts.
-    Scoring and validation never build them.
+    The per-layer backward caches are built only with `keep_cache`;
+    scoring and validation never build them. `reuse` holds arrays for
+    them to write, one (dZ, F, dc_dh, H) per layer, encoder first.
     """
     T, B = X.shape
     hs = model.hidden_size
     top = model.n_layers - 1
-    keep_cache = on_cache is not None
+    arrays = iter(reuse or ())
 
     seq = X[:, :, None]
     enc_caches = []
     for k, layer in enumerate(model.encoder_layers):
         emit = "final" if k == top else "states"
-        seq, latent, cache = lstm_forward(layer, seq, keep_cache=keep_cache, emit=emit)
+        seq, latent, cache = lstm_forward(
+            layer, seq, keep_cache=keep_cache, emit=emit, reuse=next(arrays, None)
+        )
         enc_caches.append(cache)
-        if on_cache is not None:
-            on_cache(cache)
 
     # The latent code is a (B, hs) view of the top encoder layer's state
     # buffer, column-major; the backward's matmuls against it round by
@@ -194,10 +193,10 @@ def _forward_batch(
     dec_caches = []
     for k, layer in enumerate(model.decoder_layers):
         emit = model.w_out[0] if k == top else "states"
-        seq, _, cache = lstm_forward(layer, seq, h0=latent, keep_cache=keep_cache, emit=emit)
+        seq, _, cache = lstm_forward(
+            layer, seq, h0=latent, keep_cache=keep_cache, emit=emit, reuse=next(arrays, None)
+        )
         dec_caches.append(cache)
-        if on_cache is not None:
-            on_cache(cache)
 
     seq += model.b_out[0]
     return _ForwardCache(encoder=enc_caches, decoder=dec_caches, Y=seq)
@@ -309,13 +308,13 @@ def reconstruction_loss(x: np.ndarray, x_bar: np.ndarray) -> float:
 
 
 #: Smallest training step, in steps x windows x hidden units (T * B * hs),
-#: that uses the worker of `_score_pool`; a smaller one runs wholly on
-#: the calling thread. Each task handed over costs a fixed amount, and
-#: the two threads' many small ufuncs contend for the GIL. On a 2-vCPU
-#: x86-64 VM with one BLAS thread, the two-thread step against the
-#: inline one was 1.10x the time at (T 60, B 8, hs 16), 1.16x at
-#: (30, 64, 8), 1.00-1.04x from 30 720 to 49 152, 0.94-0.97x at 61 440
-#: and 0.81x at (60, 256, 16).
+#: that hands weight sums to the worker of `_score_pool`; a smaller one
+#: runs wholly on the calling thread. A task handed over costs a fixed
+#: amount, and the two threads' many small ufuncs contend for the GIL.
+#: On a 2-vCPU x86-64 VM with one BLAS thread, the two-thread step
+#: against the inline one was 1.06x the time at (T 30, B 64, hs 8),
+#: 1.00x at (60, 32, 16) and (60, 64, 16), and 0.96x at (60, 256, 16);
+#: with two layers, 0.90x at (60, 256, 16) and 0.83x at (60, 256, 32).
 STEP_OVERLAP_MIN = 60_000
 
 
@@ -329,100 +328,123 @@ class _RunHere:
         return self._value
 
 
+class StepBuffers:
+    """The cache arrays a training step leaves for the next step on a
+    batch of the same shape. `loss_and_gradients(model, X, buffers)`
+    writes its caches into them, 7·hs·B·T float64 per layer, instead of
+    allocating (and, with glibc's default malloc, page-faulting in) its
+    own, and leaves them for the next call. `train` keeps one per
+    epoch."""
+
+    def __init__(self) -> None:
+        self.key: tuple[int, ...] | None = None  # (T, B, hs, layers)
+        self.layers: list[tuple[np.ndarray, ...]] = []
+
+
 def _step(
-    model: AutoencoderModel, X: np.ndarray, spawn: Callable[..., Future | _RunHere]
-) -> tuple[float, dict[str, np.ndarray]]:
+    model: AutoencoderModel,
+    X: np.ndarray,
+    spawn: Callable[..., Future | _RunHere],
+    reuse: list[tuple[np.ndarray, ...]] | None,
+) -> tuple[float, dict[str, np.ndarray], _ForwardCache]:
     """`loss_and_gradients`, with `spawn(fn, *args)` starting the work
     that may overlap the calling thread's and returning its future, or
-    `_RunHere` doing it at once."""
+    `_RunHere` doing it at once; `reuse` goes to `_forward_batch`. Also
+    returns the spent caches."""
     T, B = X.shape
     hs = model.hidden_size
     n = model.n_layers
-    prepared: list[list[Future | _RunHere]] = []  # per layer in forward order
+    cache = _forward_batch(model, X, keep_cache=True, reuse=reuse)
+    # The residual, then dY, is formed in the reconstruction's array.
+    dY = cache.Y
+    dY -= X
+    loss = float(np.mean(dY**2))
+    dY *= 2.0 / (T * B)
 
-    def prepare(cache: LSTMCache) -> None:
-        if spawn is _RunHere or len(prepared) < 2 * n - 1:
-            prepared.append([spawn(task) for task in lstm_prepare(cache)])
-        else:
-            # The top decoder layer's forward is the last one, so nothing
-            # is left to overlap its prepare with: this thread takes half.
-            own, *rest = lstm_prepare(cache, 2)
-            prepared.append([spawn(task) for task in rest])
-            own()
-
-    cache = _forward_batch(model, X, on_cache=prepare)
-    R = cache.Y - X
-    loss = float(np.mean(R**2))
-    dY = (2.0 / (T * B)) * R
-
-    grads: dict[str, np.ndarray] = {}
-    grads["output.W"] = np.tensordot(dY, cache.top, axes=2)[None, :]
-    grads["output.b"] = np.array([dY.sum()])
-
-    dH = dY[:, :, None] * model.w_out[0]
+    # The top decoder layer emitted its readout, so its backward takes dY
+    # and forms each step's w_out ⊗ dY[t] itself.
+    dH = dY
     dlatent = np.zeros((B, hs))
-    decoder_sums = []  # top down; they run during the encoder's backward
+    sums = []  # weight sums handed to `spawn`, top down, decoder first
     for k in reversed(range(n)):
-        for done in prepared[n + k]:
-            done.result()
         dX_dec, dh0, _ = lstm_backward(
             model.decoder_layers[k], cache.decoder[k], dH, weight_grads=False
         )
-        decoder_sums.append((k, spawn(lstm_weight_grads, cache.decoder[k])))
+        sums.append((f"decoder.{k}", spawn(lstm_weight_grads, cache.decoder[k])))
         dlatent += dh0  # every decoder layer starts from the latent code
         dH = dX_dec
     dlatent += dH[0]  # the bottom decoder layer's one shared input is the code
+    # The top decoder's recurrence has run, so nothing reads its forget
+    # gates again. Their memory, the size of its states, takes the
+    # (T·B, hs) copy of them that `np.tensordot(dY, cache.top, axes=2)`
+    # would allocate, and the same product sums it.
+    states = cache.decoder[-1].F.reshape(T, B, hs)
+    np.copyto(states, cache.top)
+    dW_out = np.dot(dY.reshape(1, T * B), states.reshape(T * B, hs))
 
-    encoder_grads = []
     dH_enc: np.ndarray | None = None
     for k in reversed(range(n)):
-        for done in prepared[k]:
-            done.result()
-        # The bottom layer's input is the data: no gradient is wanted there.
+        # The bottom layer's input is the data: no gradient is wanted
+        # there. Its backward is the last one, so nothing is left to
+        # overlap its weight sums with: it takes them itself.
         dH_enc, _, g = lstm_backward(
             model.encoder_layers[k],
             cache.encoder[k],
             dH_enc,
             dh_final=dlatent if k == n - 1 else None,
             input_grad=k > 0,
+            weight_grads=k == 0,
         )
-        encoder_grads.append((k, g))
+        if k > 0:
+            sums.append((f"encoder.{k}", spawn(lstm_weight_grads, cache.encoder[k])))
 
-    for k, sums in decoder_sums:
-        grads.update({f"decoder.{k}.{name}": arr for name, arr in sums.result().items()})
-    for k, g in encoder_grads:
-        grads.update({f"encoder.{k}.{name}": arr for name, arr in g.items()})
-    return loss, grads
+    grads = {"output.W": dW_out, "output.b": np.array([dY.sum()])}
+    for layer, done in sums:
+        grads.update({f"{layer}.{name}": arr for name, arr in done.result().items()})
+    grads.update({f"encoder.0.{name}": arr for name, arr in g.items()})
+    return loss, grads, cache
 
 
-def loss_and_gradients(model: AutoencoderModel, X: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
+def loss_and_gradients(
+    model: AutoencoderModel, X: np.ndarray, buffers: StepBuffers | None = None
+) -> tuple[float, dict[str, np.ndarray]]:
     """Batch loss and gradients for (T, B) windows; the training step.
 
-    With a worker in `_score_pool` and a step of at least
-    `STEP_OVERLAP_MIN`, the step uses two threads, NumPy releasing the
-    GIL inside each matmul and ufunc. Each layer's backward prepare
-    (`lstm_prepare`) runs on the worker while the next layer's forward
-    runs here. The top decoder layer's is split between both threads.
-    The decoder's weight sums run on the worker during the encoder's
-    backward. No task waits on another, and every task has finished when
-    this returns or raises; a task's exception is raised here. Each
-    value comes from the same operations in the same order on either
-    path, so the result is the same bits on any number of CPUs.
+    The forward keeps, per layer, only what the backward reads (see
+    `LSTMCache`): 7·hs·B·T float64, written into `buffers` when it holds
+    arrays of this step's shapes (see `StepBuffers`). With a worker in
+    `_score_pool` and a step of at least `STEP_OVERLAP_MIN`, each layer's
+    weight sums but the bottom encoder layer's run on the worker during
+    the backward recurrences still to come, NumPy releasing the GIL
+    inside each matmul and ufunc. Every task has finished when this
+    returns or raises; a task's exception is raised here. Each value
+    comes from the same operations in the same order on either path, so
+    the result is the same bits on any number of CPUs.
     """
     T, B = X.shape
+    key = (T, B, model.hidden_size, model.n_layers)
+    reuse = None
+    if buffers is not None:
+        reuse = buffers.layers if buffers.key == key else None
+        buffers.key, buffers.layers = None, []  # arrays of other shapes are freed here
     pool, _ = _score_pool()
     if pool is None or T * B * model.hidden_size < STEP_OVERLAP_MIN:
-        return _step(model, X, _RunHere)
-    futures: list[Future] = []
+        loss, grads, cache = _step(model, X, _RunHere, reuse)
+    else:
+        futures: list[Future] = []
 
-    def spawn(fn: Callable, *args) -> Future:
-        futures.append(pool.submit(contextvars.copy_context().run, fn, *args))
-        return futures[-1]
+        def spawn(fn: Callable, *args) -> Future:
+            futures.append(pool.submit(contextvars.copy_context().run, fn, *args))
+            return futures[-1]
 
-    try:
-        return _step(model, X, spawn)
-    finally:
-        wait(futures)
+        try:
+            loss, grads, cache = _step(model, X, spawn, reuse)
+        finally:
+            wait(futures)
+    if buffers is not None:
+        buffers.key = key
+        buffers.layers = [(c.dZ, c.F, c.dc_dh, c.H) for c in cache.encoder + cache.decoder]
+    return loss, grads
 
 
 def backward(model: AutoencoderModel, x: np.ndarray) -> dict[str, np.ndarray]:

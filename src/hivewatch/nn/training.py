@@ -9,7 +9,13 @@ import numpy as np
 
 from ..errors import EmptyDataset, LengthMismatch
 from .adam import adam_step, init_adam
-from .model import AutoencoderModel, loss_and_gradients, model_parameters, reconstruction_errors
+from .model import (
+    AutoencoderModel,
+    StepBuffers,
+    loss_and_gradients,
+    model_parameters,
+    reconstruction_errors,
+)
 
 
 @dataclass(frozen=True)
@@ -104,11 +110,13 @@ def train(
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(n)
         running = 0.0
+        buffers = StepBuffers()  # the epoch's full batches share one set of cache arrays
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            loss, grads = loss_and_gradients(work, Xtr[:, idx])
+            loss, grads = loss_and_gradients(work, Xtr[:, idx], buffers)
             adam_step(params, grads, state, config)
             running += loss * len(idx)
+        del buffers  # freed before validation scores the model
         train_loss = running / n
 
         val_loss = _mean_loss(work, Xval)

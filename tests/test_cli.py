@@ -230,6 +230,28 @@ class TestCalibrate:
         thr = read_threshold(out / "threshold.json")
         assert thr.method == "quantile"
 
+    def test_hashes_each_input_once(self, pipeline, tmp_path, monkeypatch) -> None:
+        """The split file's digest, taken for the checkpoint check, is the
+        one the manifest records: no input is hashed twice."""
+        hashed = []
+        real = hivewatch.cli._sha256
+
+        def counting(path):
+            hashed.append(str(path))
+            return real(path)
+
+        monkeypatch.setattr(hivewatch.cli, "_sha256", counting)
+        splits = pipeline / "train" / "splits.txt"
+        out = tmp_path / "cal-once"
+        assert run(
+            "calibrate", "--checkpoint", str(pipeline / "train" / "model.bin"),
+            "--input", str(pipeline / "synth" / "trace.csv"), "--sensor", "temp_core",
+            "--splits", str(splits), "--out-dir", str(out),
+        ) == 0
+        assert sorted(hashed) == sorted(set(hashed)) and str(splits) in hashed
+        manifest = json.loads((out / "calibrate_manifest.json").read_text(encoding="utf-8"))
+        assert manifest["inputs"][str(splits)] == hashlib.sha256(splits.read_bytes()).hexdigest()
+
     def test_manual_alpha_needs_no_model(self, tmp_path) -> None:
         out = tmp_path / "manual"
         assert run("calibrate", "--alpha", "0.75", "--out-dir", str(out)) == 0

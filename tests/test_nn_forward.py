@@ -143,13 +143,14 @@ class TestForwardOnly:
             p += rng.normal(0.0, 0.5, size=p.shape)
         X = rng.normal(size=(12, 33))
         plain = _forward_batch(model, X)
-        cached = _forward_batch(model, X, on_cache=lambda cache: None)
+        cached = _forward_batch(model, X, keep_cache=True)
         assert all(c is None for c in (*plain.encoder, *plain.decoder))
         np.testing.assert_array_equal(plain.Y, cached.Y)
 
     def test_saturated_gates_are_exact_and_silent(self):
         """Biases of +-1000 push exp(-z) to inf or 0: the gates come out
-        exactly 1 (input, output) and 0 (forget), with no overflow warning."""
+        exactly 1 (input, output) and 0 (forget), with no overflow warning,
+        so the cached sigmoid factors and forget gates are exactly 0."""
         hs = 3
         layer = init_layer(2, hs, np.random.default_rng(0))
         layer.b[:hs] = 1000.0
@@ -160,11 +161,13 @@ class TestForwardOnly:
             warnings.simplefilter("error")
             H, h, cache = lstm_forward(layer, X)
             H_plain, h_plain, _ = lstm_forward(layer, X, keep_cache=False)
-        i, f, o, g = np.split(cache.Z, 4, axis=1)  # rows [i, f, o, g]
-        assert np.all(i == 1.0) and np.all(f == 0.0) and np.all(o == 1.0)
-        # A closed forget gate and open input gate make c_t = g_t exactly.
-        np.testing.assert_array_equal(cache.C, g)
-        np.testing.assert_array_equal(H, np.tanh(g).transpose(0, 2, 1))
+        di, df, do, _ = np.split(cache.dZ, 4, axis=1)  # rows [i, f, o, g]
+        assert np.all(di == 0.0) and np.all(df == 0.0) and np.all(do == 0.0)
+        assert np.all(cache.F == 0.0)
+        # An open output gate makes h_t = tanh(c_t) exactly, so
+        # dc/dh = o·(1 - tanh²c) is (1 - h)(1 + h).
+        Hf = H.transpose(0, 2, 1)
+        np.testing.assert_array_equal(cache.dc_dh, (1.0 + Hf) * (1.0 - Hf))
         np.testing.assert_array_equal(H_plain, H)
         np.testing.assert_array_equal(h_plain, h)
 
@@ -338,21 +341,29 @@ class TestParallelScoring:
 
 def unfused_lstm(layer, X, h0):
     """Per-step reference in the checkpoint's [i, f, g, o] gate order:
-    W x_t + U h + b, then the textbook gate algebra, from a zero cell state."""
+    W x_t + U h + b, then the textbook gate algebra, from a zero cell state.
+    Returns the hidden states, the final one, and the backward's factors
+    in the cache's feature-major layout: the gate-gradient factors (rows
+    [i, f, o, g]), the forget gates and dc/dh."""
     hs = layer.hidden_size
 
     def sigmoid(v):
         return 1.0 / (1.0 + np.exp(-v))
 
-    h, c, H = h0, np.zeros_like(h0), []
+    h, c, H, dZ, F, dc_dh = h0, np.zeros_like(h0), [], [], [], []
     for x in X:
         z = x @ layer.W.T + h @ layer.U.T + layer.b
         i, f = sigmoid(z[:, :hs]), sigmoid(z[:, hs : 2 * hs])
         g, o = np.tanh(z[:, 2 * hs : 3 * hs]), sigmoid(z[:, 3 * hs :])
-        c = f * c + i * g
-        h = o * np.tanh(c)
+        c_prev, c = c, f * c + i * g
+        tc = np.tanh(c)
+        h = o * tc
         H.append(h)
-    return np.stack(H), h
+        factors = [i * (1 - i) * g, f * (1 - f) * c_prev, o * (1 - o) * tc, (1 - g**2) * i]
+        dZ.append(np.concatenate(factors, axis=1).T)
+        F.append(f.T)
+        dc_dh.append((o * (1 - tc**2)).T)
+    return np.stack(H), h, (np.stack(dZ), np.stack(F), np.stack(dc_dh))
 
 
 class TestStackedStep:
@@ -366,10 +377,13 @@ class TestStackedStep:
         X = rng.normal(size=(9, 7, D))
         h0 = rng.normal(0.0, 0.5, size=(7, hs))
         H, h, cache = lstm_forward(layer, X, h0=h0, keep_cache=keep_cache)
-        H_ref, h_ref = unfused_lstm(layer, X, h0)
+        H_ref, h_ref, factors_ref = unfused_lstm(layer, X, h0)
         assert (cache is not None) == keep_cache
         np.testing.assert_allclose(H, H_ref, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(h, h_ref, rtol=1e-12, atol=1e-15)
+        if keep_cache:
+            for got, want in zip((cache.dZ, cache.F, cache.dc_dh), factors_ref):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
     def test_cache_free_pass_builds_no_sequence_sized_gate_block(self):
         """Scoring a 512-window chunk at hs 16 allocates less than one

@@ -1,16 +1,19 @@
-"""The training step on two threads: the same bits as the serial step.
+"""The training step: the same bits as the serial step, in bounded memory.
 
-`loss_and_gradients` prepares each layer's backward in place on the
-scoring worker while the next layer runs forward. These tests hold it
-to a copy of the serial backward it replaced, on a pool the test owns
-(so they run the threaded path on any machine) and on one CPU.
+`loss_and_gradients` runs on a forward cache that already holds the
+backward's factors, and sums the decoder's weight gradients on the
+scoring worker during the encoder's backward. These tests hold it to a
+copy of the serial forward and backward it replaced, on a pool the test
+owns (so they run the threaded path on any machine) and on one CPU.
 """
 
 from __future__ import annotations
 
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -18,7 +21,9 @@ import pytest
 from conftest import IDENT_NORM
 import hivewatch.nn.model as nn_model
 from hivewatch.cli import main
+from hivewatch.errors import ShapeMismatch
 from hivewatch.nn import (
+    StepBuffers,
     TrainConfig,
     init_layer,
     init_model,
@@ -28,19 +33,66 @@ from hivewatch.nn import (
     model_parameters,
     train,
 )
-from hivewatch.nn.lstm import _gate_rows, _time_invariant, lstm_prepare, lstm_weight_grads
+from hivewatch.nn.lstm import _gate_rows, _time_invariant, lstm_weight_grads
 
 
-def reference_lstm_backward(params, cache, dH, dh_final=None):
-    """The serial backward before the in-place prepare: a whole-sequence
-    derivative pre-pass into fresh arrays, the recurrence, then the sums."""
-    X, Z, C, TC, H = cache.X, cache.Z, cache.C, cache.TC, cache.H
-    T, B, _ = X.shape
+@dataclass
+class RawCache:
+    """The forward's raw activations, feature-major as in `nn.lstm`."""
+
+    X: np.ndarray  # (T, B, D)
+    Z: np.ndarray  # gate activations, rows [i, f, o, g], (T, 4*hs, B)
+    C: np.ndarray  # cell states, (T, hs, B)
+    TC: np.ndarray  # tanh of cell states, (T, hs, B)
+    H: np.ndarray  # hidden states, (T, hs, B)
+    h0: np.ndarray  # (hs, B)
+
+
+def reference_lstm_forward(params, X, h0=None):
+    """The cached forward loop before it wrote the backward's factors:
+    one stacked matmul per step, every raw activation kept. Returns the
+    raw cache and the final state as a (B, hs) view of the state buffer,
+    the layout the program's latent code has."""
+    T, B, D = X.shape
     hs = params.hidden_size
     rows = _gate_rows(hs)
-    U = params.U[rows]
-    W = params.W[rows]
+    A = np.concatenate([params.U[rows], params.W[rows], params.b[rows, None]], axis=1)
+    np.negative(A[: 3 * hs], out=A[: 3 * hs])
+    hx = np.empty((hs + D + 1, B))
+    h, x = hx[:hs], hx[hs : hs + D]
+    hx[hs + D] = 1.0
+    h[...] = 0.0 if h0 is None else np.transpose(h0)
+    c = np.zeros((hs, B))
+    h_init = h.copy()
+    Z, C = np.empty((T, 4 * hs, B)), np.empty((T, hs, B))
+    TC, H = np.empty((T, hs, B)), np.empty((T, hs, B))
+    ig = np.empty((hs, B))
+    with np.errstate(over="ignore"):
+        for t in range(T):
+            z, c_next, tc = Z[t], C[t], TC[t]
+            s, i, f, o, g = z[: 3 * hs], z[:hs], z[hs : 2 * hs], z[2 * hs : 3 * hs], z[3 * hs :]
+            x[...] = X[t].T
+            np.matmul(A, hx, out=z)
+            np.exp(s, out=s)
+            s += 1.0
+            np.divide(1.0, s, out=s)
+            np.tanh(g, out=g)
+            np.multiply(i, g, out=ig)
+            np.multiply(f, c, out=c_next)
+            c_next += ig
+            np.tanh(c_next, out=tc)
+            np.multiply(o, tc, out=h)
+            H[t] = h
+            c = c_next
+    return RawCache(X=X, Z=Z, C=C, TC=TC, H=H, h0=h_init), h.T
 
+
+def reference_factors(cache):
+    """The whole-sequence derivative pre-pass of a raw cache, into fresh
+    arrays: the gate-gradient factors (rows [i, f, o, g]), the forget
+    gates and dc/dh, as `LSTMCache` holds them."""
+    Z, C, TC = cache.Z, cache.C, cache.TC
+    hs = C.shape[1]
     I, F, O, G = Z[:, :hs], Z[:, hs : 2 * hs], Z[:, 2 * hs : 3 * hs], Z[:, 3 * hs :]
     dZ = 1.0 - Z
     dZ[:, : 3 * hs] *= Z[:, : 3 * hs]
@@ -51,6 +103,20 @@ def reference_lstm_backward(params, cache, dH, dh_final=None):
     dZ[:, 2 * hs : 3 * hs] *= TC
     dZ[:, 3 * hs :] *= I
     dc_dh = O * ((1.0 - TC) * (1.0 + TC))
+    return dZ, F, dc_dh
+
+
+def reference_lstm_backward(params, cache, dH, dh_final=None):
+    """The serial backward before the in-place prepare: a whole-sequence
+    derivative pre-pass into fresh arrays, the recurrence, then the sums."""
+    X, H = cache.X, cache.H
+    T, B, _ = X.shape
+    hs = params.hidden_size
+    rows = _gate_rows(hs)
+    U = params.U[rows]
+    W = params.W[rows]
+
+    dZ, F, dc_dh = reference_factors(cache)
     dH_steps = None if dH is None else np.asarray(dH, dtype=np.float64).transpose(0, 2, 1)
 
     dh = np.zeros((hs, B)) if dh_final is None else np.array(np.transpose(dh_final), np.float64)
@@ -84,19 +150,32 @@ def reference_lstm_backward(params, cache, dH, dh_final=None):
 
 
 def reference_loss_and_gradients(model, X):
-    """The serial training step, layer by layer, on fresh forward caches."""
+    """The serial training step, layer by layer, on raw forward caches."""
     T, B = X.shape
     n = model.n_layers
-    cache = nn_model._forward_batch(model, X, on_cache=lambda layer_cache: None)
-    R = cache.Y - X
+    seq, encoder = X[:, :, None], []
+    for layer in model.encoder_layers:
+        raw, latent = reference_lstm_forward(layer, seq)
+        encoder.append(raw)
+        seq = raw.H.transpose(0, 2, 1)
+    seq, decoder = np.broadcast_to(latent, (T, B, model.hidden_size)), []
+    for layer in model.decoder_layers:
+        raw, _ = reference_lstm_forward(layer, seq, h0=latent)
+        decoder.append(raw)
+        seq = raw.H.transpose(0, 2, 1)
+    Y = np.empty((T, B))
+    for t in range(T):
+        np.matmul(decoder[-1].H[t].T, model.w_out[0], out=Y[t])
+    Y += model.b_out[0]
+    R = Y - X
     loss = float(np.mean(R**2))
     dY = (2.0 / (T * B)) * R
-    grads = {"output.W": np.tensordot(dY, cache.top, axes=2)[None, :],
+    grads = {"output.W": np.tensordot(dY, seq, axes=2)[None, :],
              "output.b": np.array([dY.sum()])}
     dH = dY[:, :, None] * model.w_out[0]
     dlatent = np.zeros((B, model.hidden_size))
     for k in reversed(range(n)):
-        dH_next, dh0, g = reference_lstm_backward(model.decoder_layers[k], cache.decoder[k], dH)
+        dH_next, dh0, g = reference_lstm_backward(model.decoder_layers[k], decoder[k], dH)
         dlatent += dh0
         dH = dH_next
         grads.update({f"decoder.{k}.{name}": arr for name, arr in g.items()})
@@ -104,7 +183,7 @@ def reference_loss_and_gradients(model, X):
     dH_enc = None
     for k in reversed(range(n)):
         dH_enc, _, g = reference_lstm_backward(
-            model.encoder_layers[k], cache.encoder[k], dH_enc,
+            model.encoder_layers[k], encoder[k], dH_enc,
             dh_final=dlatent if k == n - 1 else None,
         )
         grads.update({f"encoder.{k}.{name}": arr for name, arr in g.items()})
@@ -186,55 +265,169 @@ class TestSameBitsAsSerial:
         assert outputs["threads"] == outputs["one-cpu"]
 
 
+class TestStepMemory:
+    def test_step_holds_little_beyond_its_caches(self, step_pool):
+        """At the README shape, one layer, the step's `tracemalloc` peak
+        stays within 2 MiB of its two layers' caches, 7·T·hs·B float64
+        each: beside them it builds no (T, B, hs) array, neither a
+        gradient of the readout nor a copy of the top states for the
+        output weights' gradient, each 1.9 MiB here. The step's other
+        arrays, on either thread, come to about 1 MiB."""
+        n, hs, T, B = 1, 16, 60, 256
+        model = rough_model(hs, n, T, seed=4)
+        X = np.random.default_rng(5).normal(size=(T, B))
+        caches = 2 * n * 7 * T * hs * B * 8
+        tracemalloc.start()
+        try:
+            loss_and_gradients(model, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < caches + (2 << 20)
+
+
+class TestStepBuffers:
+    def test_steps_write_into_the_last_steps_arrays(self, step_pool):
+        """With `StepBuffers`, a step writes its caches into the arrays the
+        last step of its shape left and gives the bits of a step that
+        allocates its own; a batch of another width gets fresh arrays,
+        and so does the next full batch after it."""
+        n, hs, T = 2, 5, 12
+        model = rough_model(hs, n, T, seed=21)
+        rng = np.random.default_rng(22)
+        buffers, kept = StepBuffers(), []
+        for B in (7, 7, 3, 7):
+            X = rng.normal(size=(T, B))
+            want_loss, want = loss_and_gradients(model, X)
+            loss, got = loss_and_gradients(model, X, buffers)
+            assert loss == want_loss
+            for name in want:
+                assert got[name].tobytes() == want[name].tobytes(), name
+            assert len(buffers.layers) == 2 * n
+            assert all(a.shape[::2] == (T, B) for arrays in buffers.layers for a in arrays)
+            kept.append(buffers.layers)
+        first, again, narrow, full = ([a for arrays in layers for a in arrays] for layers in kept)
+        assert all(a is b for a, b in zip(first, again))
+        assert not any(a is b for a, b in zip(again, narrow))
+        assert not any(a is b for a, b in zip(again, full))
+
+    def test_forward_checks_the_arrays_it_reuses(self):
+        rng = np.random.default_rng(23)
+        layer = init_layer(3, 4, rng)
+        X = rng.normal(size=(6, 5, 3))
+        _, _, fresh = lstm_forward(layer, X)
+        arrays = (fresh.dZ, fresh.F, fresh.dc_dh, fresh.H)
+        H, _, cache = lstm_forward(layer, X, reuse=tuple(np.full_like(a, np.nan) for a in arrays))
+        assert H.tobytes() == fresh.H.transpose(0, 2, 1).tobytes()
+        for got, want in zip((cache.dZ, cache.F, cache.dc_dh, cache.H), arrays):
+            assert got.tobytes() == want.tobytes()
+        with pytest.raises(ShapeMismatch, match="do not fit"):
+            lstm_forward(layer, X[:, :4], reuse=arrays)
+
+
 class TestOneBackwardPerCache:
-    def case(self):
+    def test_second_backward_raises(self):
         rng = np.random.default_rng(3)
         layer = init_layer(3, 4, rng)
-        return layer, rng.normal(size=(9, 5, 3)), rng.normal(size=(9, 5, 4))
-
-    def test_second_backward_raises(self):
-        layer, X, dH = self.case()
+        X, dH = rng.normal(size=(9, 5, 3)), rng.normal(size=(9, 5, 4))
         _, _, cache = lstm_forward(layer, X)
+        with pytest.raises(ValueError, match="spent cache"):
+            lstm_weight_grads(cache)
         lstm_backward(layer, cache, dH)
         with pytest.raises(ValueError, match="one backward"):
             lstm_backward(layer, cache, dH)
-        with pytest.raises(ValueError, match="one backward"):
-            lstm_prepare(cache)
 
-    def test_prepared_cache_raises_on_second_prepare(self):
-        layer, X, _ = self.case()
-        _, _, cache = lstm_forward(layer, X)
-        lstm_prepare(cache)
-        with pytest.raises(ValueError, match="one backward"):
-            lstm_prepare(cache)
-        with pytest.raises(ValueError, match="spent cache"):
-            lstm_weight_grads(cache)
 
-    @pytest.mark.parametrize("order", [1, -1])
-    @pytest.mark.parametrize("parts", [1, 2, 3, 9, 20])
-    def test_parts_in_any_order_match_a_fresh_backward(self, parts, order):
-        """A cache prepared by `lstm_prepare`'s tasks, run first to last
-        or last to first, gives the bits of the serial backward on a
-        fresh cache."""
-        layer, X, dH = self.case()
-        want = reference_lstm_backward(layer, lstm_forward(layer, X)[2], dH)
-        _, _, cache = lstm_forward(layer, X)
-        tasks = lstm_prepare(cache, parts)
-        assert len(tasks) == min(parts, len(X))
-        for task in tasks[::order]:
-            task()
-        got = lstm_backward(layer, cache, dH)
+# (D, hs, T, B, h0, dH, dh_final, invariant, saturated): the roles a
+# layer takes in the model (first encoder layer, the top encoder layer
+# with no per-step gradient, decoder layers on a broadcast latent) and
+# the edges: one step, width and batch of one, gates saturated to
+# exactly 0 and 1, and the README shape.
+LAYER_CASES = {
+    "encoder-first": (1, 4, 9, 5, False, True, False, False, False),
+    "encoder-top": (4, 4, 9, 5, False, False, True, False, False),
+    "encoder-middle": (4, 4, 9, 5, False, True, True, False, False),
+    "decoder-first": (4, 4, 9, 5, True, True, False, True, False),
+    "decoder-upper": (4, 4, 9, 5, True, True, False, False, False),
+    "one-step": (3, 4, 1, 5, True, True, True, False, False),
+    "width-and-batch-one": (1, 1, 7, 1, False, True, False, False, False),
+    "saturated": (2, 3, 6, 4, True, True, True, False, True),
+    "readme-shape": (16, 16, 60, 256, True, True, False, True, False),
+}
+
+
+class TestCachedFactors:
+    @pytest.mark.parametrize("case", list(LAYER_CASES))
+    def test_factors_and_backward_bit_for_bit(self, case):
+        """The cached forward's factors have the bits of the derivative
+        pre-pass over the raw activations, and its backward the bits of
+        the serial backward on those."""
+        D, hs, T, B, with_h0, with_dH, with_final, invariant, saturated = LAYER_CASES[case]
+        rng = np.random.default_rng(sum(map(ord, case)))
+        layer = init_layer(D, hs, rng)
+        layer.b += rng.normal(0.0, 0.5, size=4 * hs)
+        if saturated:
+            layer.b[:hs], layer.b[hs : 2 * hs] = 1000.0, -1000.0  # i open, f closed
+        X = (np.broadcast_to(rng.normal(size=(B, D)), (T, B, D)) if invariant
+             else rng.normal(size=(T, B, D)))
+        h0 = rng.normal(0.0, 0.5, size=(B, hs)) if with_h0 else None
+        dH = rng.normal(size=(T, B, hs)) if with_dH else None
+        dh_final = rng.normal(size=(B, hs)) if with_final else None
+        with np.errstate(over="ignore"):
+            raw, h_want = reference_lstm_forward(layer, X, h0)
+        H, h, cache = lstm_forward(layer, X, h0=h0)
+        assert h.tobytes() == h_want.tobytes()
+        assert H.tobytes() == raw.H.transpose(0, 2, 1).tobytes()
+        assert cache.h0.tobytes() == raw.h0.tobytes()
+        for got, want in zip((cache.dZ, cache.F, cache.dc_dh), reference_factors(raw)):
+            assert got.tobytes() == want.tobytes()
+        want = reference_lstm_backward(layer, raw, dH, dh_final)
+        got = lstm_backward(layer, cache, dH, dh_final)
+        assert got[0].shape == want[0].shape == ((1,) if invariant else (T,)) + (B, D)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        for name in want[2]:
+            assert got[2][name].tobytes() == want[2][name].tobytes(), name
+
+
+class TestReadoutBackward:
+    @pytest.mark.parametrize("hs,T,B", [(16, 60, 256), (5, 12, 1), (2, 2, 7)])
+    def test_matches_the_hidden_state_gradient(self, hs, T, B):
+        """A layer that emitted its readout takes dY and forms each step's
+        w ⊗ dY[t] itself: the bits of a backward given the (T, B, hs)
+        hidden-state gradient dY[:, :, None] * w."""
+        rng = np.random.default_rng(hs * T + B)
+        layer = init_layer(3, hs, rng)
+        X, w, dY = rng.normal(size=(T, B, 3)), rng.normal(size=hs), rng.normal(size=(T, B))
+        _, _, states = lstm_forward(layer, X)
+        _, _, readout = lstm_forward(layer, X, emit=w)
+        want = lstm_backward(layer, states, dY[:, :, None] * w)
+        got = lstm_backward(layer, readout, dY)
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
         for name in want[2]:
             assert got[2][name].tobytes() == want[2][name].tobytes()
 
+    def test_gradient_must_match_what_was_emitted(self):
+        """With B == hs a (T, B, hs) gradient would broadcast against the
+        readout's w ⊗ dY[t] buffer; it raises instead, as a (T, B) one
+        does for a layer that emitted its states."""
+        rng = np.random.default_rng(8)
+        T, B, hs = 6, 4, 4
+        layer = init_layer(3, hs, rng)
+        X, w = rng.normal(size=(T, B, 3)), rng.normal(size=hs)
+        _, _, readout = lstm_forward(layer, X, emit=w)
+        with pytest.raises(ShapeMismatch, match=r"\(6, 4, 4\), expected \(6, 4\)"):
+            lstm_backward(layer, readout, rng.normal(size=(T, B, hs)))
+        _, _, states = lstm_forward(layer, X)
+        with pytest.raises(ShapeMismatch, match=r"\(6, 4\), expected \(6, 4, 4\)"):
+            lstm_backward(layer, states, rng.normal(size=(T, B)))
+
 
 class TestWorkerTasks:
-    @pytest.mark.parametrize("target", ["lstm_prepare", "lstm_weight_grads"])
-    def test_worker_exception_reaches_caller(self, monkeypatch, target):
-        """A task that fails on the worker raises its own exception in
-        the caller, and no task of the step is left running."""
+    def test_worker_exception_reaches_caller(self, monkeypatch):
+        """Weight sums that fail on the worker raise their own exception
+        in the caller, and no task of the step is left running."""
 
         class TaskFailed(Exception):
             pass
@@ -247,24 +440,16 @@ class TestWorkerTasks:
             futures.append(real_submit(*args))
             return futures[-1]
 
-        def fail_off_caller(*args):
+        def fail_off_caller(cache):
             if threading.current_thread() is not caller:
-                raise TaskFailed(target)
-
-        real = getattr(nn_model, target)
-        if target == "lstm_prepare":
-            def patched(cache, parts=1):
-                return [lambda task=task: (fail_off_caller(), task()) for task in real(cache, parts)]
-        else:
-            def patched(cache):
-                fail_off_caller()
-                return real(cache)
+                raise TaskFailed()
+            return lstm_weight_grads(cache)
 
         caller = threading.current_thread()
         monkeypatch.setattr(pool, "submit", submit)
         monkeypatch.setattr(nn_model, "_score_pool", lambda: (pool, 2))
         monkeypatch.setattr(nn_model, "STEP_OVERLAP_MIN", 0)
-        monkeypatch.setattr(nn_model, target, patched)
+        monkeypatch.setattr(nn_model, "lstm_weight_grads", fail_off_caller)
         model = rough_model(4, 2, 12, seed=1)
         try:
             with pytest.raises(TaskFailed):
