@@ -255,7 +255,7 @@ def cmd_search(args) -> int:
     report_path = out / "search_report.csv"
     write_search_report(report_path, results)
 
-    outputs = [report_path, *split_paths] + [out / r.model_path for r in results if r.model_path]
+    outputs = [report_path, *split_paths] + [r.model_path for r in results if r.model_path]
     _write_manifest(
         args,
         inputs=[args.input] + ([args.labels] if args.labels else []),

@@ -549,10 +549,18 @@ def fit_normalization(trace: SensorTrace, sensor: str, days: set) -> Normalizati
     vals = col[mask]
     if len(vals) < 2:
         raise EmptyDataset(f"need at least 2 readings in the given days, have {len(vals)}")
-    std = float(np.std(vals))
+    # Readings near the float64 limit overflow the square (or the sum);
+    # the check below reports that, so NumPy's warning is not wanted.
+    with np.errstate(over="ignore"):
+        std = float(np.std(vals))
+        mean = float(np.mean(vals))
+    if not (np.isfinite(mean) and np.isfinite(std)):
+        raise DegenerateStd(
+            f"sensor {sensor!r} overflows float64 over the given days (mean {mean:g}, std {std:g})"
+        )
     if std < 1e-9:
         raise DegenerateStd(f"sensor {sensor!r} is constant over the given days")
-    return NormalizationParams(mean=float(np.mean(vals)), std=std)
+    return NormalizationParams(mean=mean, std=std)
 
 
 def _runs(mask: np.ndarray, linked: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:

@@ -32,7 +32,8 @@ class NoNormalDays(HivewatchError):
 
 
 class DegenerateStd(HivewatchError):
-    """Series is (numerically) constant, z-score undefined."""
+    """Series is (numerically) constant, or its mean or std is not finite
+    in float64: z-score undefined."""
 
 
 class EmptyDataset(HivewatchError):

@@ -16,11 +16,8 @@ views.
 The cached forward writes the factors the backward's recurrence reads
 (the gate-gradient factors, the forget gates and dc/dh, as `LSTMCache`
 lists), not the raw activations, one block of steps at a time while the
-block is still in cache. The backward
-comes in two parts, so that a caller can run them on different threads:
-`lstm_backward` runs the recurrence, and `lstm_weight_grads` sums the
-weight gradients; by default `lstm_backward` does both. A cache feeds
-one backward.
+block is still in cache. `lstm_backward` runs the recurrence, then sums
+the weight gradients. A cache feeds one backward.
 """
 
 from __future__ import annotations
@@ -98,8 +95,7 @@ class LSTMCache:
     o'·tanh(c) and g'·i, where ' is the derivative of the gate's
     activation. The backward scales them in place into the full gate
     gradients, which the weight sums read; so a cache feeds exactly one
-    backward (`spent`). `dZ_sum` is the gate gradients' sum over steps
-    when X is time-invariant. `X`, `H`, `h0` and `readout` never change.
+    backward (`spent`). `X`, `H`, `h0` and `readout` never change.
     Nothing reads `F` or `dc_dh` once the cache is spent.
     """
 
@@ -111,7 +107,6 @@ class LSTMCache:
     h0: np.ndarray  # initial hidden state, (hs, B)
     readout: np.ndarray | None = None  # the (hs,) readout vector the forward emitted through
     spent: bool = False
-    dZ_sum: np.ndarray | None = None
 
 
 #: Most gate activations (steps x 4*hs x B) the cached forward turns
@@ -305,8 +300,7 @@ def lstm_backward(
     dH: np.ndarray | None,
     dh_final: np.ndarray | None = None,
     input_grad: bool = True,
-    weight_grads: bool = True,
-) -> tuple[np.ndarray | None, np.ndarray, dict[str, np.ndarray] | None]:
+) -> tuple[np.ndarray | None, np.ndarray, dict[str, np.ndarray]]:
     """Backpropagation through time over one layer.
 
     `dH` is the loss gradient with respect to what the forward emitted at
@@ -318,8 +312,8 @@ def lstm_backward(
     "W", "U", "b" in the [i, f, g, o] gate order. dX has the shape of X,
     except when X was time-invariant (see `lstm_forward`): then it is the
     gradient of the one shared input, shape (1, B, input_size). dX is
-    None without `input_grad`, and grads None without `weight_grads`;
-    then `lstm_weight_grads(cache)` gives them, on any thread.
+    None without `input_grad`. The weight gradients are sums over all
+    (t, b) pairs of the gate gradients the recurrence leaves in `dZ`.
 
     A cache that has fed a backward already raises `ValueError`: its
     arrays no longer hold the forward's factors.
@@ -366,36 +360,21 @@ def lstm_backward(
         dh = U.T @ dz
         dc *= F[t]
 
-    X = cache.X
+    X, W = cache.X, params.W[rows]
+    dX = None
     if _time_invariant(X):
         # One input shared by every step: its gradient and dW both see the
         # step-summed dZ, never a T-fold copy of it.
-        cache.dZ_sum = dZ.sum(axis=0)
-    dX = None
-    if input_grad:
-        W = params.W[rows]
-        if cache.dZ_sum is not None:
-            dX = (W.T @ cache.dZ_sum).T[None]
-        else:
-            dX = np.matmul(W.T, dZ).transpose(0, 2, 1)
-    grads = lstm_weight_grads(cache) if weight_grads else None
-    return dX, dh.T, grads
-
-
-def lstm_weight_grads(cache: LSTMCache) -> dict[str, np.ndarray]:
-    """The weight gradients of a spent cache: sums over all (t, b) pairs,
-    keyed "W", "U", "b" in the [i, f, g, o] gate order. Reads the cache
-    and writes nothing to it, so it may run on another thread while the
-    next layer's backward runs."""
-    if not cache.spent:
-        raise ValueError("weight gradients need a spent cache, not a forward one")
-    dZ, H, X = cache.dZ, cache.H, cache.X
-    rows = _gate_rows(H.shape[1])
-    dU = dZ[0] @ cache.h0.T
-    if len(dZ) > 1:
-        dU += np.matmul(dZ[1:], H[:-1].transpose(0, 2, 1)).sum(axis=0)
-    if cache.dZ_sum is not None:
-        dW = cache.dZ_sum @ X[0]
+        dZ_sum = dZ.sum(axis=0)
+        if input_grad:
+            dX = (W.T @ dZ_sum).T[None]
+        dW = dZ_sum @ X[0]
     else:
+        if input_grad:
+            dX = np.matmul(W.T, dZ).transpose(0, 2, 1)
         dW = np.matmul(dZ, X).sum(axis=0)
-    return {"W": dW[rows], "U": dU[rows], "b": dZ.sum(axis=(0, 2))[rows]}
+    dU = dZ[0] @ cache.h0.T
+    if T > 1:
+        dU += np.matmul(dZ[1:], cache.H[:-1].transpose(0, 2, 1)).sum(axis=0)
+    grads = {"W": dW[rows], "U": dU[rows], "b": dZ.sum(axis=(0, 2))[rows]}
+    return dX, dh.T, grads

@@ -6,11 +6,10 @@ as its initial hidden state, the bottom decoder layer also receives it as
 input at every step, and a linear projection maps each top decoder hidden
 state back to one reading, in forward time order.
 
-Scoring (`reconstruction_errors`) and the training step
-(`loss_and_gradients`) both use `_score_pool`, one worker thread per
-CPU beyond the caller's: scoring deals it whole chunks of windows, and
-the training step hands it the weight sums of all layers but the last
-one it reaches. Neither result depends on the number of CPUs.
+Scoring (`reconstruction_errors`) deals whole chunks of windows to
+`_score_pool`, one worker thread per CPU beyond the caller's; the
+training step (`loss_and_gradients`) runs on the calling thread. Neither
+result depends on the number of CPUs.
 Scoring keeps no backward cache, and the top encoder and decoder
 layers keep no hidden-state sequence: with one layer each, a scoring
 thread holds its chunk's (T, B) reconstruction and step buffers of
@@ -22,8 +21,7 @@ from __future__ import annotations
 import contextvars
 import functools
 import os
-from collections.abc import Callable
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +34,6 @@ from .lstm import (
     init_layer,
     lstm_backward,
     lstm_forward,
-    lstm_weight_grads,
 )
 
 #: Inclusive bounds the hyperparameter search ranges over.
@@ -307,27 +304,6 @@ def reconstruction_loss(x: np.ndarray, x_bar: np.ndarray) -> float:
     return float(np.mean((a - b) ** 2))
 
 
-#: Smallest training step, in steps x windows x hidden units (T * B * hs),
-#: that hands weight sums to the worker of `_score_pool`; a smaller one
-#: runs wholly on the calling thread. A task handed over costs a fixed
-#: amount, and the two threads' many small ufuncs contend for the GIL.
-#: On a 2-vCPU x86-64 VM with one BLAS thread, the two-thread step
-#: against the inline one was 1.06x the time at (T 30, B 64, hs 8),
-#: 1.00x at (60, 32, 16) and (60, 64, 16), and 0.96x at (60, 256, 16);
-#: with two layers, 0.90x at (60, 256, 16) and 0.83x at (60, 256, 32).
-STEP_OVERLAP_MIN = 60_000
-
-
-class _RunHere:
-    """Work done on the calling thread at once, read like a future."""
-
-    def __init__(self, fn: Callable, *args) -> None:
-        self._value = fn(*args)
-
-    def result(self):
-        return self._value
-
-
 class StepBuffers:
     """The cache arrays a training step leaves for the next step on a
     batch of the same shape. `loss_and_gradients(model, X, buffers)`
@@ -341,19 +317,24 @@ class StepBuffers:
         self.layers: list[tuple[np.ndarray, ...]] = []
 
 
-def _step(
-    model: AutoencoderModel,
-    X: np.ndarray,
-    spawn: Callable[..., Future | _RunHere],
-    reuse: list[tuple[np.ndarray, ...]] | None,
-) -> tuple[float, dict[str, np.ndarray], _ForwardCache]:
-    """`loss_and_gradients`, with `spawn(fn, *args)` starting the work
-    that may overlap the calling thread's and returning its future, or
-    `_RunHere` doing it at once; `reuse` goes to `_forward_batch`. Also
-    returns the spent caches."""
+def loss_and_gradients(
+    model: AutoencoderModel, X: np.ndarray, buffers: StepBuffers | None = None
+) -> tuple[float, dict[str, np.ndarray]]:
+    """Batch loss and gradients for (T, B) windows; the training step.
+
+    The forward keeps, per layer, only what the backward reads (see
+    `LSTMCache`): 7·hs·B·T float64, written into `buffers` when it holds
+    arrays of this step's shapes (see `StepBuffers`). The step runs on
+    the calling thread.
+    """
     T, B = X.shape
     hs = model.hidden_size
     n = model.n_layers
+    key = (T, B, hs, n)
+    reuse = None
+    if buffers is not None:
+        reuse = buffers.layers if buffers.key == key else None
+        buffers.key, buffers.layers = None, []  # arrays of other shapes are freed here
     cache = _forward_batch(model, X, keep_cache=True, reuse=reuse)
     # The residual, then dY, is formed in the reconstruction's array.
     dY = cache.Y
@@ -365,12 +346,10 @@ def _step(
     # and forms each step's w_out ⊗ dY[t] itself.
     dH = dY
     dlatent = np.zeros((B, hs))
-    sums = []  # weight sums handed to `spawn`, top down, decoder first
+    layer_grads = []  # top down, decoder first
     for k in reversed(range(n)):
-        dX_dec, dh0, _ = lstm_backward(
-            model.decoder_layers[k], cache.decoder[k], dH, weight_grads=False
-        )
-        sums.append((f"decoder.{k}", spawn(lstm_weight_grads, cache.decoder[k])))
+        dX_dec, dh0, g = lstm_backward(model.decoder_layers[k], cache.decoder[k], dH)
+        layer_grads.append((f"decoder.{k}", g))
         dlatent += dh0  # every decoder layer starts from the latent code
         dH = dX_dec
     dlatent += dH[0]  # the bottom decoder layer's one shared input is the code
@@ -384,63 +363,19 @@ def _step(
 
     dH_enc: np.ndarray | None = None
     for k in reversed(range(n)):
-        # The bottom layer's input is the data: no gradient is wanted
-        # there. Its backward is the last one, so nothing is left to
-        # overlap its weight sums with: it takes them itself.
+        # The bottom layer's input is the data: no gradient is wanted there.
         dH_enc, _, g = lstm_backward(
             model.encoder_layers[k],
             cache.encoder[k],
             dH_enc,
             dh_final=dlatent if k == n - 1 else None,
             input_grad=k > 0,
-            weight_grads=k == 0,
         )
-        if k > 0:
-            sums.append((f"encoder.{k}", spawn(lstm_weight_grads, cache.encoder[k])))
+        layer_grads.append((f"encoder.{k}", g))
 
     grads = {"output.W": dW_out, "output.b": np.array([dY.sum()])}
-    for layer, done in sums:
-        grads.update({f"{layer}.{name}": arr for name, arr in done.result().items()})
-    grads.update({f"encoder.0.{name}": arr for name, arr in g.items()})
-    return loss, grads, cache
-
-
-def loss_and_gradients(
-    model: AutoencoderModel, X: np.ndarray, buffers: StepBuffers | None = None
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Batch loss and gradients for (T, B) windows; the training step.
-
-    The forward keeps, per layer, only what the backward reads (see
-    `LSTMCache`): 7·hs·B·T float64, written into `buffers` when it holds
-    arrays of this step's shapes (see `StepBuffers`). With a worker in
-    `_score_pool` and a step of at least `STEP_OVERLAP_MIN`, each layer's
-    weight sums but the bottom encoder layer's run on the worker during
-    the backward recurrences still to come, NumPy releasing the GIL
-    inside each matmul and ufunc. Every task has finished when this
-    returns or raises; a task's exception is raised here. Each value
-    comes from the same operations in the same order on either path, so
-    the result is the same bits on any number of CPUs.
-    """
-    T, B = X.shape
-    key = (T, B, model.hidden_size, model.n_layers)
-    reuse = None
-    if buffers is not None:
-        reuse = buffers.layers if buffers.key == key else None
-        buffers.key, buffers.layers = None, []  # arrays of other shapes are freed here
-    pool, _ = _score_pool()
-    if pool is None or T * B * model.hidden_size < STEP_OVERLAP_MIN:
-        loss, grads, cache = _step(model, X, _RunHere, reuse)
-    else:
-        futures: list[Future] = []
-
-        def spawn(fn: Callable, *args) -> Future:
-            futures.append(pool.submit(contextvars.copy_context().run, fn, *args))
-            return futures[-1]
-
-        try:
-            loss, grads, cache = _step(model, X, spawn, reuse)
-        finally:
-            wait(futures)
+    for layer, g in layer_grads:
+        grads.update({f"{layer}.{name}": arr for name, arr in g.items()})
     if buffers is not None:
         buffers.key = key
         buffers.layers = [(c.dZ, c.F, c.dc_dh, c.H) for c in cache.encoder + cache.decoder]

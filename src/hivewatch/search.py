@@ -112,9 +112,12 @@ def random_search(
 
 
 def write_search_report(path, results: list[TrialResult]) -> None:
-    """Delimited trial table, best first."""
+    """Delimited trial table, best first. Each checkpoint is recorded by
+    its file name, relative to the report beside it, so the report's bytes
+    do not depend on how the output directory was named."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["hs", "n", "best_val_loss", "epochs_run", "model_path"])
         for r in results:
-            writer.writerow([r.hs, r.n, repr(r.best_val_loss), r.epochs_run, r.model_path])
+            name = Path(r.model_path).name
+            writer.writerow([r.hs, r.n, repr(r.best_val_loss), r.epochs_run, name])

@@ -143,6 +143,35 @@ class TestTrain:
         assert any(p.endswith("trace.csv") for p in manifest["inputs"])
         assert all(len(d) == 64 for d in manifest["inputs"].values())
 
+    def test_overflowing_normalization_is_data_error(self, pipeline, tmp_path, capsys) -> None:
+        """One training-day reading near the float64 limit overflows the
+        std: `train` refuses the data (exit 3) with one line, no NumPy
+        warning and no checkpoint, where it wrote a model that
+        `calibrate` refused."""
+        lines = (pipeline / "synth" / "trace.csv").read_text().splitlines()
+        assert lines[0].split(",")[1] == "temp_core"
+        row = lines[1].split(",")
+        row[1] = "1e300"
+        trace = tmp_path / "trace.csv"
+        trace.write_text("\n".join([lines[0], ",".join(row), *lines[2:]]) + "\n")
+        out = tmp_path / "t"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(
+                "train", "--input", str(trace), "--sensor", "temp_core",
+                "--labels", str(pipeline / "synth" / "labels.csv"),
+                "--window-size", "30", "--hs", "2", "--max-epochs", "1",
+                "--out-dir", str(out),
+            )
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: data: DegenerateStd"), err
+        assert "Traceback" not in captured.err and "RuntimeWarning" not in captured.err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not (out / "model.bin").exists()
+
 
 class TestSearch:
     def test_report_and_checkpoints(self, pipeline, tmp_path) -> None:
@@ -160,6 +189,25 @@ class TestSearch:
         assert len(lines) == 3  # grid is only two cells
         best = lines[1].split(",")
         assert load_model(out / best[4]).hidden_size == int(best[0])
+
+    def test_report_bytes_do_not_depend_on_out_dir(self, pipeline, tmp_path, monkeypatch) -> None:
+        """The report names each checkpoint relative to itself, so the same
+        search into a relative and an absolute directory writes the same
+        report bytes."""
+        monkeypatch.chdir(tmp_path)
+        reports = []
+        for out in ("relative", str(tmp_path / "absolute")):
+            assert run(
+                "search", "--input", str(pipeline / "synth" / "trace.csv"),
+                "--sensor", "temp_core",
+                "--labels", str(pipeline / "synth" / "labels.csv"),
+                "--window-size", "30", "--hs-range", "2:2", "--layers-range", "1:1",
+                "--trials", "1", "--max-epochs", "1", "--batch-size", "512",
+                "--out-dir", out,
+            ) == 0
+            reports.append((Path(out) / "search_report.csv").read_bytes())
+        assert reports[0] == reports[1]
+        assert reports[0].splitlines()[1].endswith(b",model_hs2_n1.bin")
 
     def test_writes_train_split(self, pipeline, tmp_path) -> None:
         """For the flags `train` took, `search` writes the same split and

@@ -1,10 +1,10 @@
 """The training step: the same bits as the serial step, in bounded memory.
 
 `loss_and_gradients` runs on a forward cache that already holds the
-backward's factors, and sums the decoder's weight gradients on the
-scoring worker during the encoder's backward. These tests hold it to a
-copy of the serial forward and backward it replaced, on a pool the test
-owns (so they run the threaded path on any machine) and on one CPU.
+backward's factors. These tests hold it to a copy of the serial forward
+and backward it replaced, with a scoring worker beside it, which it
+leaves idle, and on one CPU; and `train`, whose validation scores on the
+worker, to the same bytes with a worker and on one CPU.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from hivewatch.nn import (
     model_parameters,
     train,
 )
-from hivewatch.nn.lstm import _gate_rows, _time_invariant, lstm_weight_grads
+from hivewatch.nn.lstm import _gate_rows, _time_invariant
 
 
 @dataclass
@@ -200,23 +200,32 @@ def rough_model(hs, n, T, seed):
 
 @pytest.fixture(params=["two-threads", "one-cpu"])
 def step_pool(request, monkeypatch):
-    """The step's pool: a worker this test owns, used at every size, or
-    none, as on one CPU."""
+    """The scoring pool beside the step: a worker this test owns, as on
+    two CPUs, or none, as on one. The step runs wholly on the calling
+    thread, so it hands the worker no task."""
     if request.param == "one-cpu":
         monkeypatch.setattr(nn_model, "_score_pool", lambda: (None, 1))
         yield None
         return
     pool = ThreadPoolExecutor(1, thread_name_prefix="test-step")
+    submitted = []
+    real_submit = pool.submit
+
+    def submit(*args, **kwargs):
+        submitted.append(args)
+        return real_submit(*args, **kwargs)
+
+    monkeypatch.setattr(pool, "submit", submit)
     monkeypatch.setattr(nn_model, "_score_pool", lambda: (pool, 2))
-    monkeypatch.setattr(nn_model, "STEP_OVERLAP_MIN", 0)
     try:
         yield pool
     finally:
         pool.shutdown(wait=True)
+    assert submitted == []
 
 
 # (n, hs, T, B): every layer count, width, length and batch named in the
-# threaded step's contract at least once, the README shape among them.
+# step's contract at least once, the README shape among them.
 SHAPES = [
     (1, 16, 60, 256),
     (2, 32, 60, 300),
@@ -244,14 +253,13 @@ class TestSameBitsAsSerial:
             assert got[name].tobytes() == want[name].tobytes(), name
 
     def test_train_writes_the_same_bytes(self, tmp_path, monkeypatch):
-        """`train` through the CLI, on a pool of one worker used at every
-        step size and on one CPU: the same model and history bytes."""
+        """`train` through the CLI, validating on a pool of one worker and
+        on one CPU: the same model and history bytes."""
         assert main(["synth", "--days", "4", "--seed", "3", "--out-dir", str(tmp_path / "s")]) == 0
         outputs = {}
         for mode, pool in (("threads", ThreadPoolExecutor(1)), ("one-cpu", None)):
             with monkeypatch.context() as patch:
                 patch.setattr(nn_model, "_score_pool", lambda: (pool, 1 if pool is None else 2))
-                patch.setattr(nn_model, "STEP_OVERLAP_MIN", 0)
                 out = tmp_path / mode
                 try:
                     assert main(["train", "--input", str(tmp_path / "s" / "trace.csv"),
@@ -272,7 +280,7 @@ class TestStepMemory:
         each: beside them it builds no (T, B, hs) array, neither a
         gradient of the readout nor a copy of the top states for the
         output weights' gradient, each 1.9 MiB here. The step's other
-        arrays, on either thread, come to about 1 MiB."""
+        arrays come to about 1 MiB."""
         n, hs, T, B = 1, 16, 60, 256
         model = rough_model(hs, n, T, seed=4)
         X = np.random.default_rng(5).normal(size=(T, B))
@@ -331,8 +339,6 @@ class TestOneBackwardPerCache:
         layer = init_layer(3, 4, rng)
         X, dH = rng.normal(size=(9, 5, 3)), rng.normal(size=(9, 5, 4))
         _, _, cache = lstm_forward(layer, X)
-        with pytest.raises(ValueError, match="spent cache"):
-            lstm_weight_grads(cache)
         lstm_backward(layer, cache, dH)
         with pytest.raises(ValueError, match="one backward"):
             lstm_backward(layer, cache, dH)
@@ -426,8 +432,8 @@ class TestReadoutBackward:
 
 class TestWorkerTasks:
     def test_worker_exception_reaches_caller(self, monkeypatch):
-        """Weight sums that fail on the worker raise their own exception
-        in the caller, and no task of the step is left running."""
+        """Validation scoring that fails on the worker raises its own
+        exception in `train`'s caller, and no task of it is left running."""
 
         class TaskFailed(Exception):
             pass
@@ -440,20 +446,23 @@ class TestWorkerTasks:
             futures.append(real_submit(*args))
             return futures[-1]
 
-        def fail_off_caller(cache):
+        real_chunk_errors = nn_model._chunk_errors
+
+        def fail_off_caller(model, chunk):
             if threading.current_thread() is not caller:
                 raise TaskFailed()
-            return lstm_weight_grads(cache)
+            return real_chunk_errors(model, chunk)
 
         caller = threading.current_thread()
         monkeypatch.setattr(pool, "submit", submit)
         monkeypatch.setattr(nn_model, "_score_pool", lambda: (pool, 2))
-        monkeypatch.setattr(nn_model, "STEP_OVERLAP_MIN", 0)
-        monkeypatch.setattr(nn_model, "lstm_weight_grads", fail_off_caller)
-        model = rough_model(4, 2, 12, seed=1)
+        monkeypatch.setattr(nn_model, "_chunk_errors", fail_off_caller)
+        rng = np.random.default_rng(6)
+        model = init_model(3, 1, 8, seed=6, norm=IDENT_NORM)
+        X_train, X_val = rng.normal(size=(8, 48)), rng.normal(size=(8, 2 * nn_model.SCORE_BATCH))
         try:
             with pytest.raises(TaskFailed):
-                loss_and_gradients(model, np.ones((12, 16)))
+                train(model, X_train, X_val, TrainConfig(batch_size=24, max_epochs=1, seed=6))
             assert futures and all(f.done() for f in futures)
         finally:
             pool.shutdown(wait=True)
@@ -462,7 +471,6 @@ class TestWorkerTasks:
         """More `train` callers than CPUs on one shared worker, switching
         threads every microsecond: each gets its own serial result's
         bytes, and none hangs."""
-        monkeypatch.setattr(nn_model, "STEP_OVERLAP_MIN", 0)
         config = TrainConfig(batch_size=24, max_epochs=2, seed=5)
         cases = []
         for k in range(4):
