@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import os
 
-# One BLAS thread unless the user chose otherwise. Scoring runs its own
-# worker thread per extra CPU, and at these matrix sizes BLAS threads only
-# compete with it. OpenBLAS reads the variables once, when NumPy first
+# One BLAS thread unless the user chose otherwise. Scoring and training
+# share their work with a worker process on a second CPU, and at these
+# matrix sizes BLAS threads only compete with it. OpenBLAS reads the variables once, when NumPy first
 # loads, so they are set before the first import below reaches NumPy.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
     os.environ.setdefault(_var, "1")

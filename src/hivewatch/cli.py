@@ -56,7 +56,13 @@ from .detector import (
     write_events,
     write_threshold,
 )
-from .errors import DATA_ERRORS, InvalidHyperparameter, SplitMismatch, UsageError
+from .errors import (
+    DATA_ERRORS,
+    InvalidHyperparameter,
+    SplitMismatch,
+    TrainingDiverged,
+    UsageError,
+)
 from .nn import TrainConfig, init_model, load_model, save_model, train
 from .rba import RbaConfig, rba_detect
 from .search import SearchSpace, random_search, write_search_report
@@ -594,7 +600,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return 2
-    except (InvalidHyperparameter, ValueError) as exc:
+    except (InvalidHyperparameter, TrainingDiverged, ValueError) as exc:
         print(f"error: usage: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except DATA_ERRORS as exc:

@@ -74,6 +74,11 @@ class ShapeMismatch(HivewatchError):
     """Array shapes of parameters, gradients, or state disagree."""
 
 
+class TrainingDiverged(HivewatchError):
+    """Training reached a non-finite loss: the learning rate is too large
+    for the data. The CLI maps it to exit code 2, as a bad flag."""
+
+
 # CLI-local validation failures (exit code 2).
 
 class UsageError(HivewatchError):

@@ -6,23 +6,29 @@ as its initial hidden state, the bottom decoder layer also receives it as
 input at every step, and a linear projection maps each top decoder hidden
 state back to one reading, in forward time order.
 
-Scoring (`reconstruction_errors`) deals whole chunks of windows to
-`_score_pool`, one worker thread per CPU beyond the caller's; the
-training step (`loss_and_gradients`) runs on the calling thread. Neither
-result depends on the number of CPUs.
+Where the process may run on two CPUs, one forked worker process (see
+`_Worker`) takes part of every call: scoring (`reconstruction_errors`)
+sends it every other chunk of windows, and the training step
+(`loss_and_gradients`) the second half of every batch. Without it the
+caller does the same work in turn, so neither result depends on the
+number of CPUs.
 Scoring keeps no backward cache, and the top encoder and decoder
-layers keep no hidden-state sequence: with one layer each, a scoring
-thread holds its chunk's (T, B) reconstruction and step buffers of
-(4*hs, B) or less.
+layers keep no hidden-state sequence: with one layer each, scoring a
+chunk holds its (T, B) reconstruction and step buffers of (4*hs, B) or
+less.
 """
 
 from __future__ import annotations
 
-import contextvars
-import functools
+import atexit
+import contextlib
+import gc
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass
+import pickle
+import signal
+import threading
+import warnings
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -228,12 +234,15 @@ def _chunk_bounds(n: int) -> list[tuple[int, int]]:
     """Column ranges `reconstruction_errors` scores, one forward each.
 
     ceil(n / SCORE_BATCH) chunks of widths equal within one, their count
-    rounded up to an even number once n reaches SCORE_BATCH, so that two
-    threads get equal shares of SCORE_BATCH / 2 to SCORE_BATCH columns.
-    Every forward step hands the GIL between the threads about a dozen
-    times, so narrower chunks spend their gain on hand-offs: on a 2-vCPU
-    x86-64 VM, 1 381 windows at hs 16 took 51-58 ms in four 345-wide
-    chunks, 39-49 ms in two 690-wide ones and 54-70 ms on one thread.
+    rounded up to an even number once n reaches SCORE_BATCH, so that the
+    caller and the worker get equal shares of SCORE_BATCH / 2 to
+    SCORE_BATCH columns. Narrower chunks would spend more on requests
+    and on the forward's per-step overhead: on a 2-vCPU x86-64 VM, one
+    690-wide chunk at hs 16 took about 23 ms of CPU time, and two
+    processes each scoring one at once took 26.5 and 28.5 ms of wall
+    time, against 25.5 ms for one alone. Two threads of one process
+    took 46.8 ms for both chunks, because the forward holds the GIL
+    between its NumPy calls.
     The bounds depend on n alone, never on the CPU count.
     """
     k = -(-n // SCORE_BATCH)
@@ -242,23 +251,256 @@ def _chunk_bounds(n: int) -> list[tuple[int, int]]:
     return [(j * n // k, (j + 1) * n // k) for j in range(k)]
 
 
-@functools.cache
-def _score_pool() -> tuple[ThreadPoolExecutor | None, int]:
-    """A pool of one worker per CPU this process may run on beyond the
-    caller's (None on one CPU), and the number of CPUs. NumPy releases
-    the GIL inside each matmul and ufunc, so chunks on separate threads
-    run at the same time."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    pool = ThreadPoolExecutor(cpus - 1, thread_name_prefix="hivewatch-score") if cpus > 1 else None
-    return pool, cpus
+# ---------------------------------------------------------------------------
+# The worker process
 
 
+def _send(fd: int, obj) -> None:
+    data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    for view in (memoryview(len(data).to_bytes(8, "little")), memoryview(data)):
+        while view:
+            view = view[os.write(fd, view) :]
+
+
+def _receive(fd: int):
+    """The next object `_send` wrote to the pipe; EOFError when the
+    writing end is closed."""
+    head = _read_exactly(fd, 8)
+    return pickle.loads(_read_exactly(fd, int.from_bytes(head, "little")))
+
+
+def _read_exactly(fd: int, n: int) -> bytearray:
+    buf = bytearray(n)
+    view, got = memoryview(buf), 0
+    while got < n:
+        k = os.readv(fd, [view[got:]])
+        if k == 0:
+            raise EOFError("pipe closed")
+        got += k
+    return buf
+
+
+def _serve(requests: int, replies: int) -> None:
+    """The worker's loop, until the caller's end of `requests` closes.
+
+    A request is (task, arguments, the caller's `np.geterr()`); the
+    reply is ("ok", result, warnings) or ("error", exception, warnings),
+    with every warning the task raised as (message, category, filename,
+    line) for the caller to issue again. The second half of a training
+    step writes its caches into arrays the worker keeps while the caller
+    keeps its own (`keep`); any other request frees them.
+    """
+    held = _Slot()
+    while True:
+        try:
+            task, args, err = _receive(requests)
+        except EOFError:
+            return
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                with np.errstate(**err):
+                    if task == "score":
+                        held = _Slot()  # frees the arrays the last step left
+                        result = _chunk_errors(*args)
+                    else:
+                        model, X, scale, keep = args
+                        if not keep:
+                            held = _Slot()
+                        result = _half_step(model, X, scale, held if keep else None)
+                reply = ("ok", result)
+            except Exception as exc:
+                try:  # the caller must be able to raise what it receives
+                    pickle.loads(pickle.dumps(exc))
+                except Exception:
+                    exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+                reply = ("error", exc)
+        _send(replies, (*reply, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]))
+
+
+def _worker_main(requests: int, replies: int, callers: tuple[int, ...]) -> None:
+    """The forked worker, from its first instruction to `os._exit`:
+    `callers` are its copies of the caller's pipe ends, closed here so
+    that EOF reaches it."""
+    global _worker_lost
+    code = 1
+    try:
+        _worker_lost = True  # the worker never forks one of its own
+        gc.freeze()
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, 1)
+        os.dup2(null, 2)
+        for fd in (null, *callers):
+            os.close(fd)
+        _serve(requests, replies)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+class _Worker:
+    """One forked worker process and the caller's ends of its pipes.
+
+    The worker ignores SIGINT, writes nothing (its standard output and
+    error go to the null device) and leaves only through `os._exit`, so
+    it never flushes stdio buffers it inherited, and never runs the
+    caller's exit hooks or the finalizers of objects it inherited
+    (`gc.freeze`). EOF on its request pipe ends it: the caller closes
+    the pipe at exit, or the kernel does when the caller dies.
+    """
+
+    def __init__(self) -> None:
+        fds: list[int] = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            raise
+        requests, to_worker, from_worker, replies = fds
+        if pid == 0:
+            _worker_main(requests, replies, (to_worker, from_worker))
+        os.close(requests)
+        os.close(replies)
+        self.pid: int | None = pid
+        self.requests, self.replies = to_worker, from_worker
+
+    def submit(self, task: str, args: tuple) -> bool:
+        """Send one request; False, and the worker dropped, if it is lost.
+        A write cut off part-way also drops it, since the worker would
+        read the next request as the rest of this one."""
+        if self.pid is None:
+            return False
+        try:
+            _send(self.requests, (task, args, np.geterr()))
+        except OSError:
+            _stop_worker(lost=True)
+            return False
+        except BaseException:
+            _stop_worker(lost=True)
+            raise
+        return True
+
+    def reply(self):
+        """The worker's reply to the last request, or None, and the
+        worker dropped, if it died or its pipe broke first. A read cut
+        off part-way, say by KeyboardInterrupt, also drops it, since the
+        next reply would be read from the middle of this one."""
+        try:
+            return _receive(self.replies)
+        except (EOFError, OSError):
+            _stop_worker(lost=True)
+            return None
+        except BaseException:
+            _stop_worker(lost=True)
+            raise
+
+    def close(self, reap: bool = True) -> None:
+        """Close the caller's ends of the pipes and, with `reap`, kill
+        and reap the worker. Idempotent: closed descriptors are never
+        touched again, since their numbers may be reused."""
+        if self.pid is None:
+            return
+        pid, self.pid = self.pid, None
+        os.close(self.requests)
+        os.close(self.replies)
+        if reap:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+
+
+#: The worker, started by the first call that can use it; None before
+#: then, and for good once it is lost (`_worker_lost`). `_worker_lock`
+#: is held by the one call using it.
+_worker: _Worker | None = None
+_worker_lost = False
+_worker_lock = threading.Lock()
+
+
+def _may_fork() -> bool:
+    """Whether a worker may start here: `os.fork` exists, the process may
+    run on two CPUs or more, and no other thread runs, since a lock
+    another thread held at the fork would stay held in the worker."""
+    return (
+        hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+        and threading.active_count() == 1
+    )
+
+
+@contextlib.contextmanager
+def _claimed_worker():
+    """The worker for one call, started if need be; None where none may
+    start, once it is lost, and while another thread holds it: that
+    call then does all its work on its own thread."""
+    global _worker, _worker_lost
+    if not _worker_lock.acquire(blocking=False):
+        yield None
+        return
+    try:
+        if _worker is None and not _worker_lost and _may_fork():
+            try:
+                _worker = _Worker()
+            except OSError:  # no process or pipe to be had: work alone
+                _worker_lost = True
+        yield _worker
+    finally:
+        _worker_lock.release()
+
+
+def _stop_worker(lost: bool = False) -> None:
+    """Close the worker's pipes, kill and reap it; at exit, and for good
+    once it is `lost`."""
+    global _worker, _worker_lost
+    worker, _worker = _worker, None
+    _worker_lost = _worker_lost or lost
+    if worker is not None:
+        worker.close()
+
+
+def _forget_worker() -> None:
+    """In a process forked from the caller: close its copies of the
+    worker's pipes, so that the worker still sees EOF when the caller
+    exits, and leave the worker alone. The child may start its own."""
+    global _worker, _worker_lost, _worker_lock
+    if _worker is not None:
+        _worker.close(reap=False)
+    _worker, _worker_lost, _worker_lock = None, False, threading.Lock()
+
+
+atexit.register(_stop_worker)
 if hasattr(os, "register_at_fork"):
-    # A forked child inherits the pool but none of its threads.
-    os.register_at_fork(after_in_child=_score_pool.cache_clear)
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _beside(worker: _Worker | None, task: str, args: tuple, here, there):
+    """Run `here()` on the calling thread while the worker runs `task` on
+    `args`; return both results, here's first. Without a worker, or once
+    it is lost, the caller runs `there()`, the same work, itself. The
+    task's warnings are issued again here and its exception raised
+    here; an exception of `here()` wins over the task's."""
+    sent = worker is not None and worker.submit(task, args)
+    try:
+        mine = here()
+    except BaseException:
+        if sent:
+            worker.reply()  # the next request must not read this reply
+        raise
+    answer = worker.reply() if sent else None
+    if answer is None:
+        return mine, there()
+    status, value, caught = answer
+    for message, category, filename, lineno in caught:
+        warnings.warn_explicit(message, category, filename, lineno)
+    if status == "error":
+        raise value
+    return mine, value
 
 
 def reconstruction_errors(model: AutoencoderModel, X: np.ndarray) -> np.ndarray:
@@ -267,11 +509,10 @@ def reconstruction_errors(model: AutoencoderModel, X: np.ndarray) -> np.ndarray:
     and validation. A matrix whose T is not the model's window size, such
     as an (n, T) one, raises `LengthMismatch`.
 
-    Runs the cache-free forward over the chunks of `_chunk_bounds`, dealt
-    round-robin to the calling thread and the workers of `_score_pool`.
-    Workers run in a copy of the caller's context, so the caller's
-    `np.errstate` holds there too. Every chunk's result depends only on
-    its bounds, so the output is the same bits on any number of CPUs.
+    Runs the cache-free forward over the chunks of `_chunk_bounds`. With
+    two chunks or more the worker scores every other one, in the
+    caller's `np.errstate`. Every chunk's result depends only on its
+    bounds, so the output is the same bits with or without the worker.
     """
     if X.ndim != 2 or X.shape[0] != model.window_size:
         raise LengthMismatch(
@@ -279,20 +520,19 @@ def reconstruction_errors(model: AutoencoderModel, X: np.ndarray) -> np.ndarray:
         )
     out = np.empty(X.shape[1])
     bounds = _chunk_bounds(X.shape[1])
-    pool, cpus = _score_pool()
-    lanes = min(len(bounds), cpus) or 1
 
-    def score(first: int) -> None:
-        for a, b in bounds[first::lanes]:
-            out[a:b] = _chunk_errors(model, X[:, a:b])
+    def errors(a: int, b: int) -> np.ndarray:
+        return _chunk_errors(model, X[:, a:b])
 
-    futures = [pool.submit(contextvars.copy_context().run, score, w) for w in range(1, lanes)]
-    try:
-        score(0)
-    finally:
-        wait(futures)
-    for f in futures:
-        f.result()
+    if len(bounds) < 2:
+        for a, b in bounds:
+            out[a:b] = errors(a, b)
+        return out
+    with _claimed_worker() as worker:
+        for (a, b), (c, d) in zip(bounds[::2], bounds[1::2]):  # an even count, see above
+            out[a:b], out[c:d] = _beside(
+                worker, "score", (model, X[:, c:d]), lambda: errors(a, b), lambda: errors(c, d)
+            )
     return out
 
 
@@ -304,43 +544,53 @@ def reconstruction_loss(x: np.ndarray, x_bar: np.ndarray) -> float:
     return float(np.mean((a - b) ** 2))
 
 
+@dataclass
+class _Slot:
+    """One half-batch's cache arrays, one (dZ, F, dc_dh, H) per layer,
+    encoder first, for a batch of shape `key` (T, B, hs, layers)."""
+
+    key: tuple[int, ...] | None = None
+    layers: list[tuple[np.ndarray, ...]] = field(default_factory=list)
+
+
 class StepBuffers:
     """The cache arrays a training step leaves for the next step on a
     batch of the same shape. `loss_and_gradients(model, X, buffers)`
-    writes its caches into them, 7·hs·B·T float64 per layer, instead of
-    allocating (and, with glibc's default malloc, page-faulting in) its
-    own, and leaves them for the next call. `train` keeps one per
+    writes each half's caches, 7·hs·B·T float64 per layer, into the
+    arrays the last step left for that half, instead of allocating (and,
+    with glibc's default malloc, page-faulting in) its own. The caller
+    keeps the first half's; the second half's are the worker's own, or
+    the caller's when it runs that half itself. `train` keeps one per
     epoch."""
 
     def __init__(self) -> None:
-        self.key: tuple[int, ...] | None = None  # (T, B, hs, layers)
-        self.layers: list[tuple[np.ndarray, ...]] = []
+        self.halves = (_Slot(), _Slot())
 
 
-def loss_and_gradients(
-    model: AutoencoderModel, X: np.ndarray, buffers: StepBuffers | None = None
+def _half_step(
+    model: AutoencoderModel, X: np.ndarray, scale: float, slot: _Slot | None = None
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Batch loss and gradients for (T, B) windows; the training step.
+    """One share of a training step over (T, B) windows: the sum of its
+    squared residuals and its gradients, with dY = `scale` · residual.
 
     The forward keeps, per layer, only what the backward reads (see
-    `LSTMCache`): 7·hs·B·T float64, written into `buffers` when it holds
-    arrays of this step's shapes (see `StepBuffers`). The step runs on
-    the calling thread.
+    `LSTMCache`), written into `slot`'s arrays when they have this
+    share's shapes.
     """
     T, B = X.shape
     hs = model.hidden_size
     n = model.n_layers
     key = (T, B, hs, n)
     reuse = None
-    if buffers is not None:
-        reuse = buffers.layers if buffers.key == key else None
-        buffers.key, buffers.layers = None, []  # arrays of other shapes are freed here
+    if slot is not None:
+        reuse = slot.layers if slot.key == key else None
+        slot.key, slot.layers = None, []  # arrays of other shapes are freed here
     cache = _forward_batch(model, X, keep_cache=True, reuse=reuse)
     # The residual, then dY, is formed in the reconstruction's array.
     dY = cache.Y
     dY -= X
-    loss = float(np.mean(dY**2))
-    dY *= 2.0 / (T * B)
+    squares = float(np.sum(dY**2))
+    dY *= scale
 
     # The top decoder layer emitted its readout, so its backward takes dY
     # and forms each step's w_out ⊗ dY[t] itself.
@@ -376,10 +626,43 @@ def loss_and_gradients(
     grads = {"output.W": dW_out, "output.b": np.array([dY.sum()])}
     for layer, g in layer_grads:
         grads.update({f"{layer}.{name}": arr for name, arr in g.items()})
-    if buffers is not None:
-        buffers.key = key
-        buffers.layers = [(c.dZ, c.F, c.dc_dh, c.H) for c in cache.encoder + cache.decoder]
-    return loss, grads
+    if slot is not None:
+        slot.key = key
+        slot.layers = [(c.dZ, c.F, c.dc_dh, c.H) for c in cache.encoder + cache.decoder]
+    return squares, grads
+
+
+def loss_and_gradients(
+    model: AutoencoderModel, X: np.ndarray, buffers: StepBuffers | None = None
+) -> tuple[float, dict[str, np.ndarray]]:
+    """Batch loss and gradients for (T, B) windows; the training step.
+
+    A batch of B >= 2 windows is split at B // 2, each half copied to
+    its own C-ordered array: the worker runs the second half's forward
+    and backward while the caller runs the first, or the caller runs
+    both in turn. Each half scales its dY by the whole batch's 2/(T·B),
+    so the halves' gradients add, first half first, to the batch's.
+    Either way the result has the same bits. One window runs whole.
+    """
+    T, B = X.shape
+    scale = 2.0 / (T * B)
+    first, second = buffers.halves if buffers is not None else (None, None)
+    if B < 2:
+        squares, grads = _half_step(model, X, scale, first)
+        return squares / (T * B), grads
+    h = B // 2
+    X1, X2 = np.ascontiguousarray(X[:, :h]), np.ascontiguousarray(X[:, h:])
+    with _claimed_worker() as worker:
+        (squares, grads), (more, other) = _beside(
+            worker,
+            "step",
+            (model, X2, scale, buffers is not None),
+            lambda: _half_step(model, X1, scale, first),
+            lambda: _half_step(model, X2, scale, second),
+        )
+    for name, g in grads.items():
+        g += other[name]
+    return (squares + more) / (T * B), grads
 
 
 def backward(model: AutoencoderModel, x: np.ndarray) -> dict[str, np.ndarray]:

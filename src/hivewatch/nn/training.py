@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import EmptyDataset, LengthMismatch
+from ..errors import EmptyDataset, LengthMismatch, TrainingDiverged
 from .adam import adam_step, init_adam
 from .model import (
     AutoencoderModel,
@@ -68,6 +68,14 @@ def evaluate(model: AutoencoderModel, X: np.ndarray) -> float:
     return _mean_loss(model, X)
 
 
+def _check_finite(loss: float, config: TrainConfig, what: str) -> None:
+    if not np.isfinite(loss):
+        raise TrainingDiverged(
+            f"{what} is {loss!r} at learning rate {config.learning_rate!r}: "
+            "training diverged"
+        )
+
+
 def train(
     model: AutoencoderModel,
     Xtr: np.ndarray,
@@ -84,6 +92,10 @@ def train(
     copy, and the best one is the returned model (the untrained weights
     when no epoch improves). Identical (model, data, config) reproduce
     identical weights bit for bit.
+
+    The first non-finite batch or validation loss raises
+    `TrainingDiverged`. Training runs under `np.errstate(all="ignore")`,
+    so a diverging run raises that error alone, with no NumPy warning.
     """
     for name, X in (("Xtr", Xtr), ("Xval", Xval)):
         if X.shape[0] != model.window_size:
@@ -111,15 +123,17 @@ def train(
         order = rng.permutation(n)
         running = 0.0
         buffers = StepBuffers()  # the epoch's full batches share one set of cache arrays
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            loss, grads = loss_and_gradients(work, Xtr[:, idx], buffers)
-            adam_step(params, grads, state, config)
-            running += loss * len(idx)
-        del buffers  # freed before validation scores the model
-        train_loss = running / n
-
-        val_loss = _mean_loss(work, Xval)
+        with np.errstate(all="ignore"):
+            for batch, start in enumerate(range(0, n, config.batch_size), 1):
+                idx = order[start : start + config.batch_size]
+                loss, grads = loss_and_gradients(work, Xtr[:, idx], buffers)
+                _check_finite(loss, config, f"epoch {epoch} batch {batch} loss")
+                adam_step(params, grads, state, config)
+                running += loss * len(idx)
+            del buffers  # freed before validation scores the model
+            train_loss = running / n
+            val_loss = _mean_loss(work, Xval)
+            _check_finite(val_loss, config, f"epoch {epoch} validation loss")
         history.append(EpochStats(epoch=epoch, train_loss=train_loss, val_loss=val_loss))
 
         if val_loss < best_val:

@@ -15,11 +15,30 @@ from pathlib import Path
 
 import pytest
 
+import hivewatch.nn.model as nn_model
 from hivewatch.cli import main
 from hivewatch.data import NormalizationParams
 
 #: The normalization of test models that score already z-scored windows.
 IDENT_NORM = NormalizationParams(0.0, 1.0)
+
+
+def use_worker(monkeypatch, on: bool) -> None:
+    """Run later scoring and training calls with a fresh worker process,
+    on any machine, or with none, as on one CPU."""
+    nn_model._stop_worker()
+    monkeypatch.setattr(nn_model, "_worker_lost", False)
+    monkeypatch.setattr(nn_model, "_may_fork", lambda: on)
+
+
+@pytest.fixture(params=["worker", "alone"])
+def worker_mode(request, monkeypatch):
+    """Each test twice: with the worker process and without it. The
+    worker is stopped after the test."""
+    use_worker(monkeypatch, request.param == "worker")
+    yield request.param
+    nn_model._stop_worker()
+
 
 E2E_SEED = 42
 E2E_MAX_EPOCHS = 6

@@ -172,6 +172,34 @@ class TestTrain:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not (out / "model.bin").exists()
 
+    @pytest.mark.parametrize("command", ["train", "search"])
+    def test_diverging_run_is_usage_error(self, tmp_path, capsys, command) -> None:
+        """A learning rate of 1e300 makes the second batch's loss
+        non-finite: the command stops there with exit 2 and one line,
+        no NumPy warning and no checkpoint, where `train` exited 0 and
+        wrote the untrained weights."""
+        assert run("synth", "--days", "4", "--seed", "3", "--out-dir", str(tmp_path / "s")) == 0
+        capsys.readouterr()
+        out = tmp_path / "t"
+        shape = (["--hs", "8"] if command == "train"
+                 else ["--hs-range", "8:8", "--layers-range", "1:1", "--trials", "1"])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(
+                command, "--input", str(tmp_path / "s" / "trace.csv"), "--sensor", "temp_core",
+                *shape, "--batch-size", "256", "--max-epochs", "2", "--lr", "1e300",
+                "--out-dir", str(out),
+            )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: usage: TrainingDiverged: "), err
+        assert "epoch 1 batch 2 loss is" in err[0]
+        assert "Traceback" not in captured.err and "RuntimeWarning" not in captured.err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not list(out.glob("*.bin"))
+
 
 class TestSearch:
     def test_report_and_checkpoints(self, pipeline, tmp_path) -> None:

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import IDENT_NORM
+from conftest import IDENT_NORM, use_worker
 import hivewatch.nn.model as nn_model
 from hivewatch.detector import window_errors
 from hivewatch.errors import CheckpointError, InvalidHyperparameter, LengthMismatch
@@ -205,8 +205,12 @@ def serial_errors(model, X):
 PARALLEL_NS = [0, 1, 255, 256, 511, 512, 513, 1023, 1024, 1025, 1381, 2048, 2049, 2762]
 
 
+class ChunkFailed(Exception):
+    """Raised in the worker; module level, so that it pickles."""
+
+
 class TestParallelScoring:
-    """Chunks run on the calling thread and one worker per extra CPU."""
+    """Chunks run on the calling thread and the worker process."""
 
     @staticmethod
     def case(n):
@@ -228,46 +232,44 @@ class TestParallelScoring:
             assert SCORE_BATCH // 2 <= min(widths) and max(widths) <= SCORE_BATCH
 
     @pytest.mark.parametrize("n", PARALLEL_NS)
-    def test_matches_serial_loop_bit_for_bit(self, n):
+    def test_matches_serial_loop_bit_for_bit(self, worker_mode, n):
         model, X = self.case(n)
         np.testing.assert_array_equal(reconstruction_errors(model, X), serial_errors(model, X))
 
     def test_one_cpu_path_gives_the_same_bits(self, monkeypatch):
         model, X = self.case(1381)
-        threaded = reconstruction_errors(model, X)
-        monkeypatch.setattr(nn_model, "_score_pool", lambda: (None, 1))
-        assert reconstruction_errors(model, X).tobytes() == threaded.tobytes()
+        use_worker(monkeypatch, True)
+        with_worker = reconstruction_errors(model, X)
+        assert nn_model._worker is not None
+        use_worker(monkeypatch, False)
+        assert reconstruction_errors(model, X).tobytes() == with_worker.tobytes()
+        assert nn_model._worker is None
 
     def test_reruns_give_identical_bytes(self):
         model, X = self.case(2762)
         assert reconstruction_errors(model, X).tobytes() == reconstruction_errors(model, X).tobytes()
 
-    def test_worker_exception_reaches_caller(self, monkeypatch):
-        """Chunk 1 is the first worker's (the caller scores chunk 0)."""
-
-        class ChunkFailed(Exception):
-            pass
-
+    def test_worker_exception_reaches_caller(self, worker_mode, monkeypatch):
+        """Chunk 1 is the worker's (the caller scores chunk 0); its
+        exception is raised in the caller with its own type."""
         model, X = self.case(1381)
         start = _chunk_bounds(1381)[1][0]
-        real, threads = _forward_batch, []
+        real = _forward_batch
 
         def fail_on_chunk_1(model, chunk):
             if np.array_equal(chunk[:, 0], X[:, start]):
-                threads.append(threading.current_thread())
-                raise ChunkFailed("chunk 1")
+                raise ChunkFailed(os.getpid())
             return real(model, chunk)
 
         monkeypatch.setattr(nn_model, "_forward_batch", fail_on_chunk_1)
-        with pytest.raises(ChunkFailed):
+        with pytest.raises(ChunkFailed) as failed:
             reconstruction_errors(model, X)
-        assert len(threads) == 1
-        _, cpus = nn_model._score_pool()
-        assert (threads[0] is not threading.current_thread()) == (cpus > 1)
+        assert (failed.value.args[0] != os.getpid()) == (worker_mode == "worker")
 
-    def test_concurrent_callers_share_the_pool(self):
+    def test_concurrent_callers_share_the_worker(self, worker_mode):
         """More callers than CPUs, switching threads every microsecond:
-        each still gets its own matrix's errors, and none hangs."""
+        one holds the worker at a time and the others score alone; each
+        still gets its own matrix's errors, and none hangs."""
         model = init_model(4, 1, 12, seed=1, norm=IDENT_NORM)
         inputs = [np.random.default_rng(k).normal(size=(12, 1381 + k)) for k in range(6)]
         want = [serial_errors(model, X) for X in inputs]
@@ -276,6 +278,8 @@ class TestParallelScoring:
         def call(k):
             got[k] = reconstruction_errors(model, inputs[k])
 
+        reconstruction_errors(model, inputs[0])  # a worker starts only while one thread runs
+        assert (nn_model._worker is not None) == (worker_mode == "worker")
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -291,16 +295,23 @@ class TestParallelScoring:
             np.testing.assert_array_equal(g, w)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_gets_a_fresh_pool(self):
-        """A child forked after scoring inherits the pool but not its
-        threads; it must still score, not wait forever on a dead worker."""
+    def test_forked_child_leaves_the_worker_alone(self, monkeypatch):
+        """A child forked after scoring drops its copy of the worker's
+        pipes, scores the parent's bits on its own, and leaves the
+        parent's worker running and in step."""
+        use_worker(monkeypatch, True)
         model, X = self.case(1381)
         want = reconstruction_errors(model, X)
+        worker = nn_model._worker
+        assert worker is not None
         pid = os.fork()
         if pid == 0:  # the child: exit 0 only on the parent's bits, never return
             code = 1
             try:
-                code = 0 if reconstruction_errors(model, X).tobytes() == want.tobytes() else 1
+                dropped = nn_model._worker is None
+                same = reconstruction_errors(model, X).tobytes() == want.tobytes()
+                nn_model._stop_worker()  # its own worker, if it started one
+                code = 0 if dropped and same else 1
             finally:
                 os._exit(code)
         deadline = time.monotonic() + 60
@@ -311,12 +322,18 @@ class TestParallelScoring:
             os.waitpid(pid, 0)
             pytest.fail("forked child did not finish scoring")
         assert os.waitstatus_to_exitcode(done[1]) == 0
+        assert reconstruction_errors(model, X).tobytes() == want.tobytes()
+        assert nn_model._worker is worker
+        nn_model._stop_worker()
 
-    def test_caller_errstate_holds_in_worker(self):
+    def test_caller_errstate_holds_in_worker(self, worker_mode):
         """Weights near 1e300 overflow in every chunk; `window_errors`
-        silences that with `np.errstate`, on the worker thread too, and
-        reports the non-finite errors as a CheckpointError."""
+        silences that with `np.errstate`, in the worker too, and
+        reports the non-finite errors as a CheckpointError. The worker
+        starts outside that `np.errstate`, so it holds only by the
+        request."""
         model, X = self.case(1381)
+        reconstruction_errors(model, X)
         for p in model_parameters(model).values():
             p *= 1e300
         with warnings.catch_warnings():

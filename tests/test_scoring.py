@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -96,23 +95,6 @@ def reference_errors(n, hs, T, width):
     return out.tobytes()
 
 
-@pytest.fixture(params=["two-threads", "one-cpu"])
-def score_pool(request, monkeypatch):
-    """Scoring's pool: one worker this test owns, so chunks past the
-    first run off the calling thread on any machine; or none, as on one
-    CPU."""
-    if request.param == "one-cpu":
-        monkeypatch.setattr(nn_model, "_score_pool", lambda: (None, 1))
-        yield None
-        return
-    pool = ThreadPoolExecutor(1, thread_name_prefix="test-score")
-    monkeypatch.setattr(nn_model, "_score_pool", lambda: (pool, 2))
-    try:
-        yield pool
-    finally:
-        pool.shutdown(wait=True)
-
-
 # (n, hs, T): each layer count at both window lengths, each width twice.
 SHAPES = [
     (1, 16, 60),
@@ -130,22 +112,22 @@ WIDTHS = [1, 5, 511, 513, SCORE_BATCH - 1, SCORE_BATCH + 1, 1381, 2821]
 class TestSameBitsAsSequenceKeepingForward:
     @pytest.mark.parametrize("width", WIDTHS)
     @pytest.mark.parametrize("n,hs,T", SHAPES)
-    def test_errors_bit_for_bit(self, score_pool, n, hs, T, width):
+    def test_errors_bit_for_bit(self, worker_mode, n, hs, T, width):
         got = reconstruction_errors(rough_model(n, hs, T), windows(T, width))
         assert got.tobytes() == reference_errors(n, hs, T, width)
 
 
 class TestScoringMemory:
-    def test_peak_stays_under_half_a_sequence(self, score_pool):
+    def test_peak_stays_under_half_a_sequence(self, worker_mode):
         """`SCORE_BATCH` windows at hs 16, T 60 are two chunks. Neither
         may hold a (T, hs, chunk) hidden-state sequence: the traced peak
         stays under half of one (T, hs, SCORE_BATCH) float64 sequence
-        (3.9 MB) with one or both chunks in flight. NumPy reports its
-        buffers to tracemalloc, on every thread."""
+        (3.9 MB), with the caller scoring both chunks, or one while it
+        holds the request it sent the worker for the other."""
         T, hs = 60, 16
         model = init_model(hs, 1, T, seed=0, norm=IDENT_NORM)
         X = windows(T, SCORE_BATCH)
-        reconstruction_errors(model, X)  # the pool's thread starts untraced
+        reconstruction_errors(model, X)  # the worker starts untraced
         tracemalloc.start()
         try:
             reconstruction_errors(model, X)

@@ -1,24 +1,26 @@
 """The training step: the same bits as the serial step, in bounded memory.
 
-`loss_and_gradients` runs on a forward cache that already holds the
-backward's factors. These tests hold it to a copy of the serial forward
-and backward it replaced, with a scoring worker beside it, which it
-leaves idle, and on one CPU; and `train`, whose validation scores on the
-worker, to the same bytes with a worker and on one CPU.
+`loss_and_gradients` splits a batch in two halves, runs each on a
+forward cache that already holds the backward's factors, and adds their
+gradients. These tests hold it to a copy of the serial forward and
+backward run on the same halves, with the worker process taking the
+second half and without it; and `train` to the same bytes with and
+without the worker.
 """
 
 from __future__ import annotations
 
+import os
+import signal
 import sys
 import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from conftest import IDENT_NORM
+from conftest import IDENT_NORM, use_worker
 import hivewatch.nn.model as nn_model
 from hivewatch.cli import main
 from hivewatch.errors import ShapeMismatch
@@ -149,8 +151,9 @@ def reference_lstm_backward(params, cache, dH, dh_final=None):
     return dX, dh.T, grads
 
 
-def reference_loss_and_gradients(model, X):
-    """The serial training step, layer by layer, on raw forward caches."""
+def reference_half_step(model, X, scale):
+    """The serial training step, layer by layer, on raw forward caches:
+    the sum of squared residuals and the gradients, dY = scale · residual."""
     T, B = X.shape
     n = model.n_layers
     seq, encoder = X[:, :, None], []
@@ -168,8 +171,8 @@ def reference_loss_and_gradients(model, X):
         np.matmul(decoder[-1].H[t].T, model.w_out[0], out=Y[t])
     Y += model.b_out[0]
     R = Y - X
-    loss = float(np.mean(R**2))
-    dY = (2.0 / (T * B)) * R
+    squares = float(np.sum(R**2))
+    dY = scale * R
     grads = {"output.W": np.tensordot(dY, seq, axes=2)[None, :],
              "output.b": np.array([dY.sum()])}
     dH = dY[:, :, None] * model.w_out[0]
@@ -187,7 +190,23 @@ def reference_loss_and_gradients(model, X):
             dh_final=dlatent if k == n - 1 else None,
         )
         grads.update({f"encoder.{k}.{name}": arr for name, arr in g.items()})
-    return loss, grads
+    return squares, grads
+
+
+def reference_loss_and_gradients(model, X):
+    """The split step by the serial reference: a batch of two windows or
+    more in two halves at B // 2, each copied to its own C-ordered array,
+    each half's dY scaled by the whole batch's 2/(T·B), the gradients
+    added first half first."""
+    T, B = X.shape
+    scale = 2.0 / (T * B)
+    if B < 2:
+        squares, grads = reference_half_step(model, X, scale)
+        return squares / (T * B), grads
+    h = B // 2
+    squares, grads = reference_half_step(model, np.ascontiguousarray(X[:, :h]), scale)
+    more, other = reference_half_step(model, np.ascontiguousarray(X[:, h:]), scale)
+    return (squares + more) / (T * B), {name: g + other[name] for name, g in grads.items()}
 
 
 def rough_model(hs, n, T, seed):
@@ -198,30 +217,22 @@ def rough_model(hs, n, T, seed):
     return model
 
 
-@pytest.fixture(params=["two-threads", "one-cpu"])
-def step_pool(request, monkeypatch):
-    """The scoring pool beside the step: a worker this test owns, as on
-    two CPUs, or none, as on one. The step runs wholly on the calling
-    thread, so it hands the worker no task."""
-    if request.param == "one-cpu":
-        monkeypatch.setattr(nn_model, "_score_pool", lambda: (None, 1))
-        yield None
-        return
-    pool = ThreadPoolExecutor(1, thread_name_prefix="test-step")
-    submitted = []
-    real_submit = pool.submit
+@pytest.fixture
+def step_requests(worker_mode, monkeypatch):
+    """The tasks sent to the worker during the test: with the worker, a
+    step of two windows or more sends it its second half; without it,
+    nothing is sent."""
+    sent = []
+    real_submit = nn_model._Worker.submit
 
-    def submit(*args, **kwargs):
-        submitted.append(args)
-        return real_submit(*args, **kwargs)
+    def submit(self, task, args):
+        sent.append(task)
+        return real_submit(self, task, args)
 
-    monkeypatch.setattr(pool, "submit", submit)
-    monkeypatch.setattr(nn_model, "_score_pool", lambda: (pool, 2))
-    try:
-        yield pool
-    finally:
-        pool.shutdown(wait=True)
-    assert submitted == []
+    monkeypatch.setattr(nn_model._Worker, "submit", submit)
+    yield sent
+    if worker_mode == "alone":
+        assert sent == []
 
 
 # (n, hs, T, B): every layer count, width, length and batch named in the
@@ -242,7 +253,7 @@ SHAPES = [
 
 class TestSameBitsAsSerial:
     @pytest.mark.parametrize("n,hs,T,B", SHAPES)
-    def test_gradients_bit_for_bit(self, step_pool, n, hs, T, B):
+    def test_gradients_bit_for_bit(self, worker_mode, step_requests, n, hs, T, B):
         model = rough_model(hs, n, T, seed=1000 * n + 10 * hs + T)
         X = np.random.default_rng(T * B + hs).normal(size=(T, B))
         want_loss, want = reference_loss_and_gradients(model, X)
@@ -251,30 +262,43 @@ class TestSameBitsAsSerial:
         assert list(got) == list(want)
         for name in want:
             assert got[name].tobytes() == want[name].tobytes(), name
+        if worker_mode == "worker":
+            assert step_requests == ([] if B < 2 else ["step"])
+
+    @pytest.mark.parametrize("B", [1, 2, 3, 255, 256, 257])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_same_bytes_with_and_without_the_worker(self, monkeypatch, n, B):
+        model = rough_model(5, n, 12, seed=10 * n + B)
+        X = np.random.default_rng(B).normal(size=(12, B))
+        results = []
+        for on in (True, False):
+            use_worker(monkeypatch, on)
+            loss, grads = loss_and_gradients(model, X)
+            assert (nn_model._worker is not None) == (on and B >= 2)
+            results.append((loss, [g.tobytes() for g in grads.values()]))
+        assert results[0] == results[1]
 
     def test_train_writes_the_same_bytes(self, tmp_path, monkeypatch):
-        """`train` through the CLI, validating on a pool of one worker and
-        on one CPU: the same model and history bytes."""
+        """`train` through the CLI, with the worker taking half of every
+        batch and every other validation chunk, and without it: the same
+        model and history bytes."""
         assert main(["synth", "--days", "4", "--seed", "3", "--out-dir", str(tmp_path / "s")]) == 0
         outputs = {}
-        for mode, pool in (("threads", ThreadPoolExecutor(1)), ("one-cpu", None)):
-            with monkeypatch.context() as patch:
-                patch.setattr(nn_model, "_score_pool", lambda: (pool, 1 if pool is None else 2))
-                out = tmp_path / mode
-                try:
-                    assert main(["train", "--input", str(tmp_path / "s" / "trace.csv"),
-                                 "--sensor", "temp_core", "--hs", "8", "--layers", "2",
-                                 "--max-epochs", "2", "--batch-size", "200",
-                                 "--out-dir", str(out)]) == 0
-                finally:
-                    if pool is not None:
-                        pool.shutdown(wait=True)
+        for mode in ("worker", "alone"):
+            use_worker(monkeypatch, mode == "worker")
+            out = tmp_path / mode
+            assert main(["train", "--input", str(tmp_path / "s" / "trace.csv"),
+                         "--sensor", "temp_core", "--hs", "8", "--layers", "2",
+                         "--max-epochs", "2", "--batch-size", "200",
+                         "--out-dir", str(out)]) == 0
+            assert (nn_model._worker is not None) == (mode == "worker")
             outputs[mode] = [(out / f).read_bytes() for f in ("model.bin", "history.csv")]
-        assert outputs["threads"] == outputs["one-cpu"]
+        nn_model._stop_worker()
+        assert outputs["worker"] == outputs["alone"]
 
 
 class TestStepMemory:
-    def test_step_holds_little_beyond_its_caches(self, step_pool):
+    def test_step_holds_little_beyond_its_caches(self, worker_mode):
         """At the README shape, one layer, the step's `tracemalloc` peak
         stays within 2 MiB of its two layers' caches, 7·T·hs·B float64
         each: beside them it builds no (T, B, hs) array, neither a
@@ -295,11 +319,13 @@ class TestStepMemory:
 
 
 class TestStepBuffers:
-    def test_steps_write_into_the_last_steps_arrays(self, step_pool):
-        """With `StepBuffers`, a step writes its caches into the arrays the
-        last step of its shape left and gives the bits of a step that
-        allocates its own; a batch of another width gets fresh arrays,
-        and so does the next full batch after it."""
+    def test_steps_write_into_the_last_steps_arrays(self, worker_mode):
+        """With `StepBuffers`, each half of a step writes its caches into
+        the arrays the last step's same half left, and the step gives the
+        bits of a step that allocates its own; a batch of another width
+        gets fresh arrays, and so does the next full batch after it. The
+        caller keeps the second half's arrays only when it runs that half
+        itself; the worker keeps its own."""
         n, hs, T = 2, 5, 12
         model = rough_model(hs, n, T, seed=21)
         rng = np.random.default_rng(22)
@@ -311,10 +337,16 @@ class TestStepBuffers:
             assert loss == want_loss
             for name in want:
                 assert got[name].tobytes() == want[name].tobytes(), name
-            assert len(buffers.layers) == 2 * n
-            assert all(a.shape[::2] == (T, B) for arrays in buffers.layers for a in arrays)
-            kept.append(buffers.layers)
-        first, again, narrow, full = ([a for arrays in layers for a in arrays] for layers in kept)
+            first, second = buffers.halves
+            widths = [B // 2] + ([B - B // 2] if worker_mode == "alone" else [])
+            for half, width in zip(buffers.halves, widths):
+                assert len(half.layers) == 2 * n
+                assert all(a.shape[::2] == (T, width) for arrays in half.layers for a in arrays)
+            if worker_mode == "worker":
+                assert second.layers == []
+            kept.append([a for half in buffers.halves for arrays in half.layers for a in arrays])
+        first, again, narrow, full = kept
+        assert len(first) == len(again) == len(narrow) == len(full) > 0
         assert all(a is b for a, b in zip(first, again))
         assert not any(a is b for a, b in zip(again, narrow))
         assert not any(a is b for a, b in zip(again, full))
@@ -430,47 +462,80 @@ class TestReadoutBackward:
             lstm_backward(layer, states, rng.normal(size=(T, B)))
 
 
+class TaskFailed(Exception):
+    """Raised in the worker; module level, so that it pickles."""
+
+
 class TestWorkerTasks:
     def test_worker_exception_reaches_caller(self, monkeypatch):
         """Validation scoring that fails on the worker raises its own
-        exception in `train`'s caller, and no task of it is left running."""
-
-        class TaskFailed(Exception):
-            pass
-
-        pool = ThreadPoolExecutor(1, thread_name_prefix="test-step")
-        futures = []
-        real_submit = pool.submit
-
-        def submit(*args):
-            futures.append(real_submit(*args))
-            return futures[-1]
-
+        exception type in `train`'s caller, and leaves the worker idle
+        and in use: the next call gets its reply, not this one's."""
+        caller = os.getpid()
         real_chunk_errors = nn_model._chunk_errors
 
-        def fail_off_caller(model, chunk):
-            if threading.current_thread() is not caller:
-                raise TaskFailed()
+        def fail_in_worker(model, chunk):
+            if os.getpid() != caller:
+                raise TaskFailed(os.getpid())
             return real_chunk_errors(model, chunk)
 
-        caller = threading.current_thread()
-        monkeypatch.setattr(pool, "submit", submit)
-        monkeypatch.setattr(nn_model, "_score_pool", lambda: (pool, 2))
-        monkeypatch.setattr(nn_model, "_chunk_errors", fail_off_caller)
+        monkeypatch.setattr(nn_model, "_chunk_errors", fail_in_worker)
+        use_worker(monkeypatch, True)  # forked after the patch, so the worker has it
         rng = np.random.default_rng(6)
         model = init_model(3, 1, 8, seed=6, norm=IDENT_NORM)
         X_train, X_val = rng.normal(size=(8, 48)), rng.normal(size=(8, 2 * nn_model.SCORE_BATCH))
         try:
-            with pytest.raises(TaskFailed):
+            with pytest.raises(TaskFailed) as failed:
                 train(model, X_train, X_val, TrainConfig(batch_size=24, max_epochs=1, seed=6))
-            assert futures and all(f.done() for f in futures)
+            worker = nn_model._worker
+            assert worker is not None and failed.value.args == (worker.pid,)
+            want_loss, want = reference_loss_and_gradients(model, X_train)
+            loss, got = loss_and_gradients(model, X_train)
+            assert nn_model._worker is worker
+            assert loss == want_loss
+            assert all(got[k].tobytes() == want[k].tobytes() for k in want)
         finally:
-            pool.shutdown(wait=True)
+            nn_model._stop_worker()
 
-    def test_concurrent_trains_share_the_pool(self, monkeypatch):
-        """More `train` callers than CPUs on one shared worker, switching
-        threads every microsecond: each gets its own serial result's
-        bytes, and none hangs."""
+    def test_worker_killed_during_a_step(self, monkeypatch):
+        """A worker that dies with its half of the batch: the caller runs
+        that half itself, returns the same bytes, and drops the worker
+        for good, reaped."""
+        caller = os.getpid()
+        real_half_step = nn_model._half_step
+
+        def die_in_worker(*args):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_half_step(*args)
+
+        model = rough_model(5, 2, 12, seed=3)
+        X = np.random.default_rng(4).normal(size=(12, 65))
+        want_loss, want = reference_loss_and_gradients(model, X)
+        monkeypatch.setattr(nn_model, "_half_step", die_in_worker)
+        use_worker(monkeypatch, True)
+        requests = []
+        real_submit = nn_model._Worker.submit
+
+        def submit(self, task, args):
+            requests.append(self.pid)
+            return real_submit(self, task, args)
+
+        monkeypatch.setattr(nn_model._Worker, "submit", submit)
+        loss, got = loss_and_gradients(model, X)
+        assert loss == want_loss
+        assert all(got[k].tobytes() == want[k].tobytes() for k in want)
+        assert len(requests) == 1 and nn_model._worker is None and nn_model._worker_lost
+        with pytest.raises(ChildProcessError):
+            os.waitpid(requests[0], os.WNOHANG)  # reaped already
+        loss_and_gradients(model, X)
+        assert len(requests) == 1  # lost for good: no new worker
+
+    def test_concurrent_trains_share_the_worker(self, monkeypatch):
+        """More `train` callers than CPUs on one worker, switching threads
+        every microsecond: one holds the worker at a time and the others
+        work alone; each gets its result's bytes without the worker, and
+        none hangs."""
         config = TrainConfig(batch_size=24, max_epochs=2, seed=5)
         cases = []
         for k in range(4):
@@ -481,16 +546,17 @@ class TestWorkerTasks:
         def weights(result):
             return [p.tobytes() for p in model_parameters(result.model).values()]
 
-        with monkeypatch.context() as patch:
-            patch.setattr(nn_model, "_score_pool", lambda: (None, 1))
-            want = [weights(train(*case, config)) for case in cases]
+        use_worker(monkeypatch, False)
+        want = [weights(train(*case, config)) for case in cases]
         got = [None] * len(cases)
 
         def call(k):
             got[k] = weights(train(*cases[k], config))
 
-        pool = ThreadPoolExecutor(1, thread_name_prefix="test-step")
-        monkeypatch.setattr(nn_model, "_score_pool", lambda: (pool, 2))
+        use_worker(monkeypatch, True)
+        loss_and_gradients(*cases[0][:2])  # starts the worker before any thread does
+        worker = nn_model._worker
+        assert worker is not None
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -501,6 +567,6 @@ class TestWorkerTasks:
                 t.join(timeout=120)
         finally:
             sys.setswitchinterval(interval)
-            pool.shutdown(wait=True)
+            nn_model._stop_worker()
         assert not any(t.is_alive() for t in threads)
         assert got == want
