@@ -8,13 +8,22 @@ and correlation analysis, all behind one `hivewatch` command.
 from __future__ import annotations
 
 import os
+import sys
 
 # One BLAS thread unless the user chose otherwise. Scoring and training
 # share their work with a worker process on a second CPU, and at these
 # matrix sizes BLAS threads only compete with it. OpenBLAS reads the variables once, when NumPy first
 # loads, so they are set before the first import below reaches NumPy.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+#: Whether NumPy's BLAS runs one thread: the worker process of `nn.model`
+#: starts only then, since two processes whose BLAS threads spin on two
+#: CPUs are slower than one. False when NumPy loaded before this module
+#: while the variables were not both 1, or when the user set another
+#: value.
+ONE_BLAS_THREAD = "numpy" not in sys.modules or all(os.environ.get(v) == "1" for v in _BLAS_VARS)
+for _var in _BLAS_VARS:
     os.environ.setdefault(_var, "1")
+ONE_BLAS_THREAD = ONE_BLAS_THREAD and all(os.environ[v] == "1" for v in _BLAS_VARS)
 
 __version__ = "0.1.0"
 

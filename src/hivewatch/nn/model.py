@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import ONE_BLAS_THREAD
 from ..data import NormalizationParams
 from ..errors import InvalidHyperparameter, LengthMismatch
 from .lstm import (
@@ -255,33 +256,9 @@ def _chunk_bounds(n: int) -> list[tuple[int, int]]:
 # The worker process
 
 
-def _send(fd: int, obj) -> None:
-    data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    for view in (memoryview(len(data).to_bytes(8, "little")), memoryview(data)):
-        while view:
-            view = view[os.write(fd, view) :]
-
-
-def _receive(fd: int):
-    """The next object `_send` wrote to the pipe; EOFError when the
-    writing end is closed."""
-    head = _read_exactly(fd, 8)
-    return pickle.loads(_read_exactly(fd, int.from_bytes(head, "little")))
-
-
-def _read_exactly(fd: int, n: int) -> bytearray:
-    buf = bytearray(n)
-    view, got = memoryview(buf), 0
-    while got < n:
-        k = os.readv(fd, [view[got:]])
-        if k == 0:
-            raise EOFError("pipe closed")
-        got += k
-    return buf
-
-
-def _serve(requests: int, replies: int) -> None:
-    """The worker's loop, until the caller's end of `requests` closes.
+def _serve(requests, replies) -> None:
+    """The worker's loop, until the caller's end of `requests` closes;
+    both are `multiprocessing.connection.Connection`s.
 
     A request is (task, arguments, the caller's `np.geterr()`); the
     reply is ("ok", result, warnings) or ("error", exception, warnings),
@@ -293,7 +270,7 @@ def _serve(requests: int, replies: int) -> None:
     held = _Slot()
     while True:
         try:
-            task, args, err = _receive(requests)
+            task, args, err = requests.recv()
         except EOFError:
             return
         with warnings.catch_warnings(record=True) as caught:
@@ -315,16 +292,18 @@ def _serve(requests: int, replies: int) -> None:
                 except Exception:
                     exc = RuntimeError(f"{type(exc).__name__}: {exc}")
                 reply = ("error", exc)
-        _send(replies, (*reply, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]))
+        replies.send((*reply, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]))
 
 
-def _worker_main(requests: int, replies: int, callers: tuple[int, ...]) -> None:
+def _worker_main(requests, replies, callers: tuple[int, ...]) -> None:
     """The forked worker, from its first instruction to `os._exit`:
     `callers` are its copies of the caller's pipe ends, closed here so
     that EOF reaches it."""
     global _worker_lost
     code = 1
     try:
+        from multiprocessing.connection import Connection
+
         _worker_lost = True  # the worker never forks one of its own
         gc.freeze()
         signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -333,7 +312,7 @@ def _worker_main(requests: int, replies: int, callers: tuple[int, ...]) -> None:
         os.dup2(null, 2)
         for fd in (null, *callers):
             os.close(fd)
-        _serve(requests, replies)
+        _serve(Connection(requests, writable=False), Connection(replies, readable=False))
         code = 0
     finally:
         os._exit(code)
@@ -351,6 +330,9 @@ class _Worker:
     """
 
     def __init__(self) -> None:
+        # Imported here, so that commands which never fork skip its cost.
+        from multiprocessing.connection import Connection
+
         fds: list[int] = []
         try:
             fds += os.pipe()
@@ -366,7 +348,8 @@ class _Worker:
         os.close(requests)
         os.close(replies)
         self.pid: int | None = pid
-        self.requests, self.replies = to_worker, from_worker
+        self.requests = Connection(to_worker, readable=False)
+        self.replies = Connection(from_worker, writable=False)
 
     def submit(self, task: str, args: tuple) -> bool:
         """Send one request; False, and the worker dropped, if it is lost.
@@ -375,7 +358,7 @@ class _Worker:
         if self.pid is None:
             return False
         try:
-            _send(self.requests, (task, args, np.geterr()))
+            self.requests.send((task, args, np.geterr()))
         except OSError:
             _stop_worker(lost=True)
             return False
@@ -390,7 +373,7 @@ class _Worker:
         off part-way, say by KeyboardInterrupt, also drops it, since the
         next reply would be read from the middle of this one."""
         try:
-            return _receive(self.replies)
+            return self.replies.recv()
         except (EOFError, OSError):
             _stop_worker(lost=True)
             return None
@@ -405,8 +388,8 @@ class _Worker:
         if self.pid is None:
             return
         pid, self.pid = self.pid, None
-        os.close(self.requests)
-        os.close(self.replies)
+        self.requests.close()
+        self.replies.close()
         if reap:
             with contextlib.suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
@@ -424,10 +407,12 @@ _worker_lock = threading.Lock()
 
 def _may_fork() -> bool:
     """Whether a worker may start here: `os.fork` exists, the process may
-    run on two CPUs or more, and no other thread runs, since a lock
-    another thread held at the fork would stay held in the worker."""
+    run on two CPUs or more, BLAS runs one thread (`ONE_BLAS_THREAD`),
+    and no other thread runs, since a lock another thread held at the
+    fork would stay held in the worker."""
     return (
-        hasattr(os, "fork")
+        ONE_BLAS_THREAD
+        and hasattr(os, "fork")
         and hasattr(os, "sched_getaffinity")
         and len(os.sched_getaffinity(0)) >= 2
         and threading.active_count() == 1

@@ -264,6 +264,13 @@ class TestSameBitsAsSerial:
             assert got[name].tobytes() == want[name].tobytes(), name
         if worker_mode == "worker":
             assert step_requests == ([] if B < 2 else ["step"])
+        # The split only reorders sums: the unsplit serial step agrees to
+        # rounding, within 1e-12 of each array's largest entry.
+        T = X.shape[0]
+        squares, whole = reference_half_step(model, X, 2.0 / (T * B))
+        assert loss == pytest.approx(squares / (T * B), rel=1e-12)
+        for name, g in whole.items():
+            np.testing.assert_allclose(got[name], g, rtol=1e-12, atol=1e-12 * np.abs(g).max(), err_msg=name)
 
     @pytest.mark.parametrize("B", [1, 2, 3, 255, 256, 257])
     @pytest.mark.parametrize("n", [1, 2, 3])

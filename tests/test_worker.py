@@ -9,6 +9,7 @@ from __future__ import annotations
 import contextlib
 import os
 import signal
+import struct
 import subprocess
 import sys
 import threading
@@ -136,16 +137,14 @@ class TestLosingTheWorker:
         model, X = case()
         pid = worker.pid
         want = reconstruction_errors(model, X)
-        real_send = nn_model._send
 
-        def half_sent(fd, obj):
-            os.write(fd, (1 << 20).to_bytes(8, "little") + b"partial")
+        def half_sent(obj):
+            os.write(worker.requests.fileno(), struct.pack("!i", 1 << 20) + b"partial")
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(nn_model, "_send", half_sent)
+        monkeypatch.setattr(worker.requests, "send", half_sent)
         with pytest.raises(KeyboardInterrupt):
             reconstruction_errors(model, X)
-        monkeypatch.setattr(nn_model, "_send", real_send)
         assert nn_model._worker is None and nn_model._worker_lost
         assert reconstruction_errors(model, X).tobytes() == want.tobytes()
         assert nn_model._worker is None
@@ -269,6 +268,26 @@ class TestWhenAWorkerRuns:
             assert nn_model._worker is not None
         finally:
             nn_model._stop_worker()
+
+    @pytest.mark.parametrize("numpy_first", [True, False])
+    @pytest.mark.parametrize("blas", [None, "1", "2"])
+    def test_only_with_one_blas_thread(self, monkeypatch, numpy_first, blas):
+        """Two processes whose BLAS threads spin on two CPUs score slower
+        than one process alone, so no worker starts unless BLAS runs one
+        thread: NumPy loads after `hivewatch` sets the variables, or they
+        were 1 already."""
+        src = str(Path(hivewatch.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if blas:
+            env.update(OPENBLAS_NUM_THREADS=blas, OMP_NUM_THREADS=blas)
+        code = ("import numpy\n" if numpy_first else "") + "import hivewatch\nprint(hivewatch.ONE_BLAS_THREAD)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, text=True,
+                             capture_output=True, timeout=120, check=True).stdout
+        assert out.split() == [str(blas == "1" or (blas is None and not numpy_first))]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(nn_model, "ONE_BLAS_THREAD", False)
+        assert not nn_model._may_fork()
 
     def test_a_held_worker_leaves_other_callers_alone(self, monkeypatch, worker, requests):
         """While one call holds the worker, another does all its work on
