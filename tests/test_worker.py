@@ -269,6 +269,38 @@ class TestWhenAWorkerRuns:
         finally:
             nn_model._stop_worker()
 
+    @pytest.mark.parametrize("on", [True, False])
+    def test_caller_keeps_to_one_cpu_while_it_holds_the_worker(self, monkeypatch, on):
+        """With the worker, the caller's thread runs its share on one CPU,
+        so that the worker runs on another, and gets its own CPU set
+        back after the call; without it, its CPU set is left alone."""
+        use_worker(monkeypatch, on)
+        model, X = case()
+        caller, seen = os.getpid(), []
+
+        def recorded(name):
+            real = getattr(nn_model, name)
+
+            def call(*args):
+                if os.getpid() == caller:
+                    seen.append(os.sched_getaffinity(0))
+                return real(*args)
+
+            monkeypatch.setattr(nn_model, name, call)
+
+        recorded("_chunk_errors")
+        recorded("_half_step")
+        before = os.sched_getaffinity(0)
+        try:
+            reconstruction_errors(model, X)
+            loss_and_gradients(model, X[:, :64])
+            assert (nn_model._worker is not None) == on
+        finally:
+            nn_model._stop_worker()
+        assert len(seen) == (2 if on else 4)  # with the worker, it takes the other half
+        assert all(cpus == ({min(before)} if on else before) for cpus in seen)
+        assert os.sched_getaffinity(0) == before
+
     @pytest.mark.parametrize("numpy_first", [True, False])
     @pytest.mark.parametrize("blas", [None, "1", "2"])
     def test_only_with_one_blas_thread(self, monkeypatch, numpy_first, blas):
