@@ -35,6 +35,7 @@ from .data import (
     auto_label_days,
     build_splits,
     fit_normalization,
+    format_splits,
     ingest,
     make_windows,
     read_labels,
@@ -192,15 +193,20 @@ def _prepare_training_windows(args, trace):
     return labels, splits, norm, train_w.matrix, val_w.matrix
 
 
-def _write_split(out: Path, labels, splits) -> tuple[list[Path], str]:
+def _split_digest(splits) -> str:
+    """SHA-256 of the split file `write_splits` writes, which a model's
+    checkpoint records; taken before any file is written."""
+    return hashlib.sha256(format_splits(splits).encode("utf-8")).hexdigest()
+
+
+def _write_split(out: Path, labels, splits) -> list[Path]:
     """The split and day labels a model was trained on, for `calibrate`;
-    returns their paths and the split file's SHA-256, which the model's
-    checkpoint records."""
+    returns their paths."""
     splits_path = out / "splits.txt"
     write_splits(splits_path, splits)
     labels_path = out / "labels_used.csv"
     write_labels(labels_path, labels)
-    return [splits_path, labels_path], _sha256(splits_path)
+    return [splits_path, labels_path]
 
 
 def _train_config(args) -> TrainConfig:
@@ -222,9 +228,9 @@ def cmd_train(args) -> int:
     result = train(model, train_w, val_w, _train_config(args))
 
     out = _out_dir(args)
-    split_paths, split = _write_split(out, labels, splits)
+    split_paths = _write_split(out, labels, splits)
     model_path = out / "model.bin"
-    save_model(model_path, replace(result.model, split=split))
+    save_model(model_path, replace(result.model, split=_split_digest(splits)))
     history_path = out / "history.csv"
     with history_path.open("w", encoding="utf-8") as fh:
         fh.write("epoch,train_loss,val_loss\n")
@@ -253,11 +259,14 @@ def cmd_search(args) -> int:
         trials=args.trials,
         seed=args.seed,
     )
-    out = _out_dir(args)
-    split_paths, split = _write_split(out, labels, splits)
+    # Every trial trains before `random_search` writes a checkpoint, and
+    # the split files follow, so a failed trial leaves `--out-dir` as it was.
     results = random_search(
-        space, train_w, val_w, norm, _train_config(args), out_dir=out, split=split
+        space, train_w, val_w, norm, _train_config(args),
+        out_dir=args.out_dir, split=_split_digest(splits),
     )
+    out = _out_dir(args)
+    split_paths = _write_split(out, labels, splits)
     report_path = out / "search_report.csv"
     write_search_report(report_path, results)
 

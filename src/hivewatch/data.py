@@ -454,9 +454,17 @@ def write_trace(path, trace: SensorTrace, delimiter: str = ",") -> None:
     """Write a trace in the ingest format: ISO-8601 UTC timestamps, each
     reading as `repr` of the float, empty cell = missing.
 
-    Rows are formatted column by column in blocks of 1 024, so only one
-    block's cells exist as strings at a time.
+    Rows are formatted in blocks of 1 024, so only one block's cells exist
+    as strings at a time, and each block is joined and written at once by
+    C loops: the bytes a row-by-row `csv.writer` wrote. Every "nan" in a
+    block is a missing reading, since no stamp or other float `repr`
+    holds one. Only the header can need quoting (a sensor name holding
+    the delimiter or a quote), so it alone goes through `csv.writer`: no
+    stamp or float `repr` holds a comma or a tab, the two delimiters
+    `ingest` reads and the only ones taken here.
     """
+    if delimiter not in (",", "\t"):
+        raise ValueError(f"delimiter must be ',' or '\\t', not {delimiter!r}")
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, delimiter=delimiter)
         writer.writerow(["timestamp"] + trace.sensor_names)
@@ -464,10 +472,9 @@ def write_trace(path, trace: SensorTrace, delimiter: str = ",") -> None:
             rows = slice(a, a + _BLOCK_LINES)
             local = trace.timestamps[rows].astype("datetime64[s]")
             stamps = [s + "+00:00" for s in np.datetime_as_string(local, unit="s").tolist()]
-            columns = [
-                ["" if v != v else repr(v) for v in col] for col in trace.values[:, rows].tolist()
-            ]
-            writer.writerows(zip(stamps, *columns))
+            columns = [map(repr, col) for col in trace.values[:, rows].tolist()]
+            lines = map(delimiter.join, zip(stamps, *columns))
+            fh.write("\r\n".join(lines).replace("nan", "") + "\r\n")
 
 
 # ---------------------------------------------------------------------------
@@ -682,16 +689,23 @@ def write_labels(path, labels: list[DayLabel]) -> None:
             fh.write(f"{l.day.isoformat()},{l.label}\n")
 
 
-def write_splits(path, splits: SplitSet) -> None:
-    """Serialize a split as `key=comma-separated sorted dates` lines."""
+def format_splits(splits: SplitSet) -> str:
+    """A split as `key=comma-separated sorted dates` lines, the text
+    `write_splits` writes."""
 
     def fmt(days):
         return ",".join(d.isoformat() for d in sorted(days))
 
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write(f"training={fmt(splits.training)}\n")
-        fh.write(f"validation={fmt(splits.validation)}\n")
-        fh.write(f"holdout={fmt(splits.holdout)}\n")
+    return (
+        f"training={fmt(splits.training)}\n"
+        f"validation={fmt(splits.validation)}\n"
+        f"holdout={fmt(splits.holdout)}\n"
+    )
+
+
+def write_splits(path, splits: SplitSet) -> None:
+    """Write `format_splits(splits)` as UTF-8, each line ended by "\\n"."""
+    Path(path).write_text(format_splits(splits), encoding="utf-8", newline="")
 
 
 def read_splits(path) -> SplitSet:

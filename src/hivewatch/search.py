@@ -80,6 +80,8 @@ def random_search(
     Ties in validation loss rank the smaller model first (hs, then n).
     When `out_dir` is given every trial's model is checkpointed there,
     recording `split`, the digest of the split file it was trained on.
+    No checkpoint is written until the last trial has trained, so a trial
+    that fails leaves none behind (nor the directory, if it was missing).
     """
     cells = space.grid()
     if not cells:
@@ -89,11 +91,16 @@ def random_search(
     rng = np.random.default_rng(space.seed)
     order = rng.permutation(len(cells))[: min(space.trials, len(cells))]
 
-    results = []
+    trained = []
     for cell in order:
         hs, n = cells[cell]
         model = init_model(hs, n, Xtr.shape[0], seed=config.seed, norm=norm)
-        outcome = train(model, Xtr, Xval, config)
+        trained.append((hs, n, train(model, Xtr, Xval, config)))
+
+    if out_dir is not None:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+    results = []
+    for hs, n, outcome in trained:
         path = ""
         if out_dir is not None:
             path = str(Path(out_dir) / f"model_hs{hs}_n{n}.bin")

@@ -3,13 +3,15 @@
 `ingest` reads clean files in blocks of columns and falls back to the row
 parser for anything it would have to repair; both must give the same
 trace bit for bit. Windows come as one matrix; they must be the windows a
-brute-force enumeration finds. `write_trace` is pinned to golden bytes.
+brute-force enumeration finds. `write_trace` is pinned to golden bytes and
+to the row-by-row `csv.writer` it replaced.
 """
 
 from __future__ import annotations
 
+import csv
 import math
-from datetime import date
+from datetime import date, datetime, timezone
 
 import numpy as np
 import pytest
@@ -321,6 +323,66 @@ def test_write_trace_golden_bytes(tmp_path, delimiter) -> None:
     assert back.metadata["parser"] == "block"
     np.testing.assert_array_equal(back.timestamps, _golden_trace().timestamps)
     np.testing.assert_array_equal(back.values, _golden_trace().values)
+
+
+def reference_write_trace(path, trace: SensorTrace, delimiter: str) -> None:
+    """The row-by-row writer `write_trace` replaced: `csv.writer` over each
+    row's `datetime` stamp and the `repr` of each reading."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, delimiter=delimiter)
+        writer.writerow(["timestamp"] + trace.sensor_names)
+        for ts, row in zip(trace.timestamps.tolist(), trace.values.T.tolist()):
+            stamp = datetime.fromtimestamp(ts, timezone.utc).isoformat()
+            writer.writerow([stamp] + ["" if v != v else repr(v) for v in row])
+
+
+#: Readings whose `repr` is an edge case: missing, infinite, signed zero,
+#: the smallest subnormal, and the exponent switches at 1e16 and 1e-5.
+EDGE_READINGS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5]
+
+
+def edge_trace(n: int, delimiter: str) -> SensorTrace:
+    """`n` one-minute rows: the edge readings cycled through one column,
+    random finite bit patterns in another, and a third of those missing in
+    the last, whose name holds the delimiter and a quote."""
+    rng = np.random.default_rng(n)
+    bits = rng.integers(0, 2**64, size=(3, n), dtype=np.uint64, endpoint=False)
+    values = bits.view(np.float64).copy()
+    values[~np.isfinite(values)] = 0.1
+    values[0] = np.resize(EDGE_READINGS, n)
+    values[2, ::3] = np.nan
+    names = ["edge", "bits", f'odd{delimiter}"name']
+    return SensorTrace(
+        hive_id="h",
+        columns=[SensorColumn(name, "°C") for name in names],
+        timestamps=T0 + 60 * np.arange(n, dtype=np.int64),
+        values=values,
+    )
+
+
+@pytest.mark.parametrize("delimiter", [",", "\t"])
+@pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+def test_write_trace_matches_row_writer(tmp_path, n, delimiter) -> None:
+    trace = edge_trace(n, delimiter)
+    write_trace(tmp_path / "fast", trace, delimiter)
+    reference_write_trace(tmp_path / "ref", trace, delimiter)
+    assert (tmp_path / "fast").read_bytes() == (tmp_path / "ref").read_bytes()
+
+    back = ingest(tmp_path / "fast")
+    assert back.sensor_names == trace.sensor_names
+    np.testing.assert_array_equal(back.timestamps, trace.timestamps)
+    missing = np.isnan(trace.values)
+    np.testing.assert_array_equal(np.isnan(back.values), missing)
+    np.testing.assert_array_equal(
+        back.values.view(np.uint64)[~missing], trace.values.view(np.uint64)[~missing]
+    )
+
+
+@pytest.mark.parametrize("delimiter", [";", ", ", ".", ""])
+def test_write_trace_refuses_other_delimiters(tmp_path, delimiter) -> None:
+    with pytest.raises(ValueError, match="delimiter"):
+        write_trace(tmp_path / "out", _golden_trace(), delimiter)
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,11 @@ error, exit 3 with exactly one `error: data:` line, warnings included.
 Traces, comma- and tab-separated, are truncated mid-line, get binary
 bytes, rows with another UTC offset, quoted cells holding the delimiter,
 and stamps or readings swapped for out-of-range ones. `detect`, `rba`,
-`calibrate` and `corr` must exit 0, 2 or 3, a non-zero exit with exactly
-one `error:` line, and never print a traceback.
+`calibrate`, `corr`, `train` and `search` must exit 0, 2 or 3, a
+non-zero exit with exactly one `error:` line, and never print a
+traceback. `train` and `search` fit tiny models for one epoch; when they
+fail they leave no file behind, and when they succeed they print no
+warning and every checkpoint they write loads and calibrates.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from hivewatch.detector import (
     write_events,
     write_threshold,
 )
-from hivewatch.nn import init_model, save_model
+from hivewatch.nn import init_model, load_model, save_model
 from hivewatch.nn.checkpoint import MAGIC
 
 #: Examples per reader: fixed, and drawn from a fixed seed, so the suite
@@ -425,6 +428,14 @@ def mutate_trace(raw: bytes, delimiter: str, mutations) -> bytes:
     return raw
 
 
+#: The commands that train on a trace, with the tiny model shapes they
+#: train here for one epoch each.
+TRAINING_SHAPES = {
+    "train": ["--hs", "2"],
+    "search": ["--hs-range", "2:2", "--layers-range", "1:2", "--trials", "2"],
+}
+
+
 def trace_argv(command: str, inputs: dict[str, Path], trace: Path, out: Path) -> list[str]:
     side = {
         "detect": ["--sensor", "temp_core", "--checkpoint", str(inputs["model.bin"]),
@@ -433,31 +444,60 @@ def trace_argv(command: str, inputs: dict[str, Path], trace: Path, out: Path) ->
         "calibrate": ["--sensor", "temp_core", "--checkpoint", str(inputs["model.bin"]),
                       "--splits", str(inputs["splits"])],
         "corr": ["--labels", str(inputs["labels"])],
+        **{trainer: ["--sensor", "temp_core", *shape, "--max-epochs", "1"]
+           for trainer, shape in TRAINING_SHAPES.items()},
     }[command]
     return [command, "--input", str(trace), *side, "--out-dir", str(out)]
 
 
+def assert_trained_or_wrote_nothing(code: int, err: str, trace: Path, out_dir: Path) -> None:
+    """A training command that failed left no file in `out_dir`. One that
+    succeeded printed nothing to stderr, and each checkpoint it wrote
+    loads and calibrates on its trace with the split written beside it."""
+    if code:
+        assert not out_dir.exists() or not list(out_dir.iterdir())
+        return
+    assert err == ""
+    models = sorted(out_dir.glob("*.bin"))
+    assert models
+    for model in models:
+        load_model(model)
+        cal_err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(cal_err):
+            code = main(["calibrate", "--input", str(trace), "--sensor", "temp_core",
+                         "--checkpoint", str(model), "--splits", str(out_dir / "splits.txt"),
+                         "--out-dir", str(out_dir / "calibrated")])
+        assert code == 0, (model.name, cal_err.getvalue())
+
+
 def assert_exit_contract(command: str, inputs: dict[str, Path], name: str, data: bytes) -> None:
     """Run `command` on a trace holding `data`: exit 0, 2 or 3, a non-zero
-    exit with exactly one `error:` line, and no traceback."""
+    exit with exactly one `error:` line, and no traceback. A training
+    command must also pass `assert_trained_or_wrote_nothing`."""
     with tempfile.TemporaryDirectory() as tmp:
         trace = Path(tmp) / name
         trace.write_bytes(data)
+        out_dir = Path(tmp) / "out"
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
-            code = main(trace_argv(command, inputs, trace, Path(tmp) / "out"))
-    assert "Traceback" not in out.getvalue() + err.getvalue()
-    assert code in (0, 2, 3), err.getvalue()
-    if code:
-        lines = err.getvalue().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+            code = main(trace_argv(command, inputs, trace, out_dir))
+        assert "Traceback" not in out.getvalue() + err.getvalue()
+        assert code in (0, 2, 3), err.getvalue()
+        if code:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        if command in TRAINING_SHAPES:
+            assert_trained_or_wrote_nothing(code, err.getvalue(), trace, out_dir)
 
 
-TRACE_COMMANDS = ["detect", "rba", "calibrate", "corr"]
+#: Commands that read a trace; the training ones only take Hypothesis's
+#: draws, which keeps their share of the suite to a few seconds.
+READING_COMMANDS = ["detect", "rba", "calibrate", "corr"]
+TRACE_COMMANDS = [*READING_COMMANDS, *TRAINING_SHAPES]
 
 
 @pytest.mark.parametrize("name", ["trace.csv", "trace.tsv"])
-@pytest.mark.parametrize("command", TRACE_COMMANDS)
+@pytest.mark.parametrize("command", READING_COMMANDS)
 def test_every_trace_value_keeps_exit_contract(inputs, command, name) -> None:
     """Each offset, stamp and reading of the lists above, and a quoted
     cell, alone on the first, a middle and the last row."""

@@ -95,6 +95,28 @@ class TestRandomSearch:
             )
         assert list(tmp_path.glob("model_*.bin")) == []
 
+    def test_failed_later_trial_leaves_no_checkpoint(self, tmp_path, monkeypatch):
+        """The first trial trains; the second raises. Checkpoints are
+        written only after the last trial, so the first leaves none, and
+        the output directory is not made."""
+        import hivewatch.search as search
+
+        calls, real_train = [], search.train
+
+        def train_then_fail(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise EmptyDataset("second trial fails")
+            return real_train(*args)
+
+        monkeypatch.setattr(search, "train", train_then_fail)
+        space = SearchSpace(hs_range=(2, 2), n_range=(1, 2), trials=2)
+        out = tmp_path / "out"
+        with pytest.raises(EmptyDataset, match="second trial"):
+            random_search(space, tiny_windows(8), tiny_windows(2), NORM, FAST, out_dir=out)
+        assert len(calls) == 2
+        assert not out.exists()
+
     def test_empty_grid(self):
         space = SearchSpace.__new__(SearchSpace)  # bypass range validation
         object.__setattr__(space, "hs_range", (4, 3))
