@@ -4,7 +4,8 @@ Each command reads input files, writes its outputs into --out-dir, and
 drops a `<command>_manifest.json` beside them recording every parameter,
 input digest, and seed needed to reproduce the outputs byte-for-byte,
 plus, for commands that read a trace, its ingest report (rows, repairs,
-and which parser ran).
+and which parser ran), and for `detect`, `rba` and `report` a `run`
+object with what the command found.
 Exit codes: 0 success, 2 usage error, 3 data error, 4 internal error.
 All randomness flows from the single --seed flag: it seeds both weight
 initialization and epoch shuffling directly, and the generator noise
@@ -17,6 +18,7 @@ import argparse
 import hashlib
 import json
 import sys
+from collections import Counter
 from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
@@ -90,11 +92,14 @@ def _jsonable(value):
     return value
 
 
-def _write_manifest(args, inputs: list, outputs: list, trace=None, digests=None) -> Path:
+def _write_manifest(
+    args, inputs: list, outputs: list, trace=None, digests=None, run=None
+) -> Path:
     """Write everything needed to re-run one command bit-identically,
-    plus the trace's ingest report when the command read one. `digests`
-    maps an input's path to the SHA-256 the command already took of it,
-    so that file is not read again."""
+    plus the trace's ingest report when the command read one, and `run`,
+    what the command found, when given. `digests` maps an input's path to
+    the SHA-256 the command already took of it, so that file is not read
+    again."""
     digests = digests or {}
     doc = {
         "command": args.command,
@@ -107,9 +112,15 @@ def _write_manifest(args, inputs: list, outputs: list, trace=None, digests=None)
     }
     if trace is not None:
         doc["ingest"] = trace.metadata
+    if run is not None:
+        doc["run"] = run
     path = Path(args.out_dir) / f"{args.command}_manifest.json"
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     return path
+
+
+def _events_by_class(events) -> dict:
+    return dict(Counter(e.class_hint for e in events))
 
 
 def _out_dir(args) -> Path:
@@ -353,7 +364,13 @@ def cmd_detect(args) -> int:
     events_path = out / "ae_events.csv"
     write_events(events_path, events)
     inputs = [args.checkpoint, args.input] + ([args.threshold] if args.threshold else [])
-    _write_manifest(args, inputs=inputs, outputs=[events_path], trace=trace)
+    run = {
+        "windows_scored": len(scores.errors),
+        "gap_spans": len(scores.gaps),
+        "gap_seconds": sum(b - a for a, b in scores.gaps),
+        "events": _events_by_class(events),
+    }
+    _write_manifest(args, inputs=inputs, outputs=[events_path], trace=trace, run=run)
     sys.stdout.write(format_summary(events))
     print(f"{len(events)} events at {events_path}")
     return 0
@@ -372,7 +389,10 @@ def cmd_rba(args) -> int:
     out = _out_dir(args)
     events_path = out / "rba_events.csv"
     write_events(events_path, events)
-    _write_manifest(args, inputs=[args.input], outputs=[events_path], trace=trace)
+    _write_manifest(
+        args, inputs=[args.input], outputs=[events_path], trace=trace,
+        run={"events": _events_by_class(events)},
+    )
     sys.stdout.write(format_summary(events))
     print(f"{len(events)} events at {events_path}")
     return 0
@@ -442,13 +462,15 @@ def cmd_report(args) -> int:
                 f"{'yes' if hit_rba else 'no'},{'yes' if hit_ae else 'no'}\n"
             )
 
-    args.unmatched_ae = len(ae) - len(matched_ae)
-    args.unmatched_rba = len(rba) - len(matched_rba)
+    run = {
+        "unmatched_ae": len(ae) - len(matched_ae),
+        "unmatched_rba": len(rba) - len(matched_rba),
+    }
     inputs = [p for p in (args.truth, args.ae_events, args.rba_events) if p]
-    _write_manifest(args, inputs=inputs, outputs=[report_path])
+    _write_manifest(args, inputs=inputs, outputs=[report_path], run=run)
     print(
-        f"{len(reference)} reference events; {args.unmatched_ae} unmatched AE, "
-        f"{args.unmatched_rba} unmatched RBA; table at {report_path}"
+        f"{len(reference)} reference events; {run['unmatched_ae']} unmatched AE, "
+        f"{run['unmatched_rba']} unmatched RBA; table at {report_path}"
     )
     return 0
 

@@ -485,7 +485,8 @@ BROOD_TEMP_C = 34.5
 
 #: `auto_label_days`: distance from `BROOD_TEMP_C` that counts as an
 #: excursion (degrees Celsius), the cumulative excursion minutes that make
-#: a day anomalous, and the missing fraction above which it is anomalous.
+#: a day anomalous, and the share of the day without readings above which
+#: it is anomalous.
 LABEL_BAND_C = 3.0
 LABEL_MIN_EXCESS_MINUTES = 10
 LABEL_MAX_MISSING_FRACTION = 0.2
@@ -496,25 +497,32 @@ def auto_label_days(trace: SensorTrace, sensor: str) -> list[DayLabel]:
 
     A day is anomalous when readings sit more than `LABEL_BAND_C` away
     from `BROOD_TEMP_C` for at least `LABEL_MIN_EXCESS_MINUTES` cumulative
-    minutes, or when more than `LABEL_MAX_MISSING_FRACTION` of its
-    readings are missing (sensor-anomaly class).
+    minutes, or when `missing_spans` cover more than
+    `LABEL_MAX_MISSING_FRACTION` of it (sensor-anomaly class). Blank
+    cells and rows the logger never wrote count alike. The day is taken
+    under the trace's UTC offset and clipped to the time the trace spans,
+    its first stamp to one period past its last, so a trace that starts
+    or ends mid-day is not charged for the hours outside it.
     """
     col = trace.sensor(sensor)
     if len(trace) == 0:
         return []
     period = sample_period(trace) or 60
     minutes_per_reading = period / 60.0
+    gaps = np.array(missing_spans(trace, sensor), dtype=np.int64).reshape(-1, 2)
+    first, end = int(trace.timestamps[0]), int(trace.timestamps[-1]) + period
 
     day_nums = trace.day_numbers()
     labels = []
     for num in np.unique(day_nums):
-        mask = day_nums == num
-        vals = col[mask]
-        missing = np.isnan(vals)
-        if missing.mean() > LABEL_MAX_MISSING_FRACTION:
+        midnight = int(num) * _SECONDS_PER_DAY - trace.utc_offset_s
+        lo, hi = max(midnight, first), min(midnight + _SECONDS_PER_DAY, end)
+        missing = np.sum(np.clip(gaps[:, 1], lo, hi) - np.clip(gaps[:, 0], lo, hi))
+        if missing / (hi - lo) > LABEL_MAX_MISSING_FRACTION:
             anomalous = True
         else:
-            excess = np.abs(vals[~missing] - BROOD_TEMP_C) > LABEL_BAND_C
+            vals = col[day_nums == num]
+            excess = np.abs(vals[~np.isnan(vals)] - BROOD_TEMP_C) > LABEL_BAND_C
             anomalous = excess.sum() * minutes_per_reading >= LABEL_MIN_EXCESS_MINUTES
         labels.append(
             DayLabel(
@@ -633,12 +641,23 @@ def make_windows(
 
 
 def missing_spans(trace: SensorTrace, sensor: str) -> list[tuple[int, int]]:
-    """Half-open [start, end) spans of missing readings, for gap reporting."""
-    col = trace.sensor(sensor)
-    period = sample_period(trace) or 60
-    starts, ends = _runs(np.isnan(col))
+    """Half-open [start, end) spans that no reading of `sensor` covers:
+    runs of missing readings and timestamp jumps, merged where they touch.
+
+    A present reading (any value but NaN) covers one period from its
+    stamp, the period being `sample_period` (60 s for fewer than two
+    readings). The spans are what lies between the covered runs, from
+    the first stamp to one period past the last.
+    """
     ts = trace.timestamps
-    return list(zip(ts[starts].tolist(), (ts[ends - 1] + period).tolist()))
+    if len(ts) == 0:
+        return []
+    period = sample_period(trace) or 60
+    a, b = _runs(~np.isnan(trace.sensor(sensor)), np.diff(ts) == period)
+    starts = np.r_[ts[0], ts[b - 1] + period]
+    ends = np.r_[ts[a], ts[-1] + period]
+    keep = starts < ends
+    return list(zip(starts[keep].tolist(), ends[keep].tolist()))
 
 
 # ---------------------------------------------------------------------------

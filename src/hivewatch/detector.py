@@ -180,25 +180,6 @@ class TraceScores:
         return self.window_size * self.period_s
 
 
-def _timestamp_gaps(trace: SensorTrace, period: int) -> list[tuple[int, int]]:
-    spans = []
-    ts = trace.timestamps
-    jumps = np.nonzero(np.diff(ts) != period)[0]
-    for i in jumps:
-        spans.append((int(ts[i]) + period, int(ts[i + 1])))
-    return spans
-
-
-def _coalesce(spans: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    merged: list[list[int]] = []
-    for a, b in sorted(spans):
-        if merged and a <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], b)
-        else:
-            merged.append([a, b])
-    return [(a, b) for a, b in merged]
-
-
 def score_trace(
     model: AutoencoderModel,
     trace: SensorTrace,
@@ -208,9 +189,9 @@ def score_trace(
     """Reconstruction error for every window the trace can supply, each
     z-scored with the model's own normalization, `model.norm`.
 
-    Windows overlapping missing readings or timestamp jumps are skipped;
-    those spans come back in `gaps` instead so silence is never silently
-    ignored.
+    Windows holding a missing or non-finite reading, or spanning a
+    timestamp jump, are skipped. `gaps` is `missing_spans(trace, sensor)`,
+    every span no reading covers, so silence is never silently ignored.
     """
     period = sample_period(trace) or 60
     windows = make_windows(
@@ -222,7 +203,6 @@ def score_trace(
         params=model.norm,
     )
     errors = window_errors(model, windows.matrix)
-    gaps = _coalesce(missing_spans(trace, sensor) + _timestamp_gaps(trace, period))
     return TraceScores(
         trace=trace,
         sensor=sensor,
@@ -230,7 +210,7 @@ def score_trace(
         period_s=period,
         start_ts=windows.start_ts,
         errors=errors,
-        gaps=gaps,
+        gaps=missing_spans(trace, sensor),
     )
 
 

@@ -256,7 +256,7 @@ def test_4_end_to_end_detection_table(e2e_runs) -> None:
     for hint in ("opening", "varroa-treatment", "sensor-failure"):
         assert all(r["rba"] == "no" for r in by_class[hint])
     manifest = json.loads((run.root / "rep" / "report_manifest.json").read_text())
-    assert manifest["parameters"]["unmatched_rba"] == 0
+    assert manifest["run"]["unmatched_rba"] == 0
 
     held_events = read_events(run.root / "held_det" / "ae_events.csv")
     assert held_events == []

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import time
 import warnings
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -22,7 +23,7 @@ import pytest
 
 import hivewatch
 from hivewatch.cli import COMMANDS, build_parser, main
-from hivewatch.data import read_labels, read_splits
+from hivewatch.data import ingest, make_windows, read_labels, read_splits
 from hivewatch.detector import (
     DetectionEvent,
     read_events,
@@ -446,6 +447,30 @@ class TestDetect:
         assert all(e.method == "AE" for e in events)
         assert "events at" in capsys.readouterr().out
 
+    def test_manifest_counts_what_the_events_show(self, pipeline, tmp_path) -> None:
+        """On a trace with a sensor failure and 31 deleted rows, the
+        manifest's `run` counts equal those recomputed from the event
+        file: a gap event is one with an infinite peak score."""
+        assert run("synth", "--days", "2", "--seed", "4",
+                   "--anomaly", "1:sensor-failure:600", "--out-dir", str(tmp_path / "s")) == 0
+        lines = (tmp_path / "s" / "trace.csv").read_text().splitlines(keepends=True)
+        trace = tmp_path / "cut.csv"
+        trace.write_text("".join(lines[:200] + lines[231:]))
+        out = tmp_path / "det"
+        with redirect_stdout(io.StringIO()):
+            assert run("detect", "--input", str(trace), "--sensor", "temp_core",
+                       "--checkpoint", str(pipeline / "train" / "model.bin"),
+                       "--threshold", str(pipeline / "cal" / "threshold.json"),
+                       "--out-dir", str(out)) == 0
+        found = json.loads((out / "detect_manifest.json").read_text())["run"]
+        events = read_events(out / "ae_events.csv")
+        gaps = [e for e in events if e.peak_score == float("inf")]
+        assert found["gap_spans"] == len(gaps) >= 2
+        assert found["gap_seconds"] == sum(e.end_ts - e.start_ts for e in gaps)
+        assert found["events"] == dict(Counter(e.class_hint for e in events))
+        cut = ingest(trace, ["temp_core"])
+        assert found["windows_scored"] == len(make_windows(cut, "temp_core", set(cut.days()), 30))
+
     def test_window_size_mismatch_writes_nothing(self, pipeline, tmp_path) -> None:
         """The window size is the checkpoint's; detect takes no flag for it."""
         out = tmp_path / "det"
@@ -635,6 +660,8 @@ class TestRba:
         assert len(events) == len(swarms) == 1
         assert events[0].start_ts < swarms[0].end_ts
         assert events[0].end_ts > swarms[0].start_ts
+        found = json.loads((out / "rba_manifest.json").read_text())["run"]
+        assert found == {"events": {events[0].class_hint: 1}}
 
     def test_missing_input_is_data_error(self, tmp_path) -> None:
         assert run("rba", "--input", str(tmp_path / "nope.csv"),
@@ -1000,5 +1027,8 @@ class TestParserOutput:
         with redirect_stdout(io.StringIO()):
             assert run("report", "--truth", events, "--ae", events, "--rba", events,
                        "--out-dir", str(out)) == 0
-        parameters = json.loads((out / "report_manifest.json").read_text())["parameters"]
+        manifest = json.loads((out / "report_manifest.json").read_text())
+        parameters = manifest["parameters"]
         assert parameters["ae_events"] == parameters["rba_events"] == events
+        assert manifest["run"] == {"unmatched_ae": 0, "unmatched_rba": 0}
+        assert not {"unmatched_ae", "unmatched_rba"} & set(parameters)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hivewatch.analysis import SynthConfig, generate
 from hivewatch.data import (
     DayLabel,
     NormalizationParams,
@@ -208,6 +209,43 @@ class TestAutoLabel:
         labels = auto_label_days(minute_trace(day), "temp_core")
         assert labels[0].label == "anomalous"
 
+    def test_deleted_rows_count_like_blank_cells(self):
+        """A 23-hour outage on day 2 of a 4-day trace makes that day
+        anomalous whether the logger wrote blank cells or no rows."""
+        trace, _ = generate(SynthConfig(days=4, seed=3))
+        outage = slice(2 * 1440 + 30, 2 * 1440 + 30 + 23 * 60)
+        blank = trace.values.copy()
+        blank[:, outage] = np.nan
+        keep = np.ones(len(trace), dtype=bool)
+        keep[outage] = False
+        forms = [
+            SensorTrace("h", trace.columns, trace.timestamps, blank),
+            SensorTrace("h", trace.columns, trace.timestamps[keep], trace.values[:, keep]),
+        ]
+        labels = [[l.label for l in auto_label_days(t, "temp_core")] for t in forms]
+        assert labels[0] == labels[1] == ["normal", "normal", "anomalous", "normal"]
+
+    def test_hours_outside_the_trace_not_missing(self):
+        """A trace that starts at 06:00 and ends at 18:00 is not charged
+        for the hours before its first stamp or after its last."""
+        day = self.day_values(n=720)
+        assert auto_label_days(minute_trace(day, start_ts=6 * 3600), "temp_core")[0].label == "normal"
+        day[:180] = np.nan  # 3 of its 12 hours: 25%
+        assert auto_label_days(minute_trace(day, start_ts=6 * 3600), "temp_core")[0].label == "anomalous"
+
+    def test_day_taken_under_the_utc_offset(self):
+        """With a +02:00 offset the local day starts at 22:00 UTC: deleting
+        local 00:00-06:00 of day 1 charges day 1, not day 0."""
+        ts = 60 * np.arange(3 * 1440, dtype=np.int64) - 7200
+        keep = (ts < 86400 - 7200) | (ts >= 86400 - 7200 + 6 * 3600)
+        trace = SensorTrace(
+            "h", [SensorColumn("temp_core", "°C")], ts[keep],
+            np.full((1, int(keep.sum())), 34.5), utc_offset_s=7200,
+        )
+        labels = auto_label_days(trace, "temp_core")
+        assert [l.day for l in labels] == [date(1970, 1, 1), date(1970, 1, 2), date(1970, 1, 3)]
+        assert [l.label for l in labels] == ["normal", "anomalous", "normal"]
+
     def test_cumulative_minutes_not_consecutive(self):
         """Two separated 5-min dips together reach the 10-min threshold."""
         day = self.day_values()
@@ -394,6 +432,16 @@ class TestMissingSpans:
 
     def test_no_missing(self):
         assert missing_spans(minute_trace([1.0, 2.0]), "temp_core") == []
+
+    def test_timestamp_jump_merges_with_missing_readings(self):
+        """Rows the logger never wrote are a gap too, one span with the
+        blank readings that touch it; an infinite reading is not missing."""
+        ts = np.array([0, 60, 120, 600, 660, 720, 780], dtype=np.int64)
+        vals = np.array([1.0, 2.0, np.nan, np.nan, 5.0, np.inf, 7.0])
+        trace = SensorTrace("h", [SensorColumn("t", "°C")], ts, vals[None, :])
+        assert missing_spans(trace, "t") == [(120, 660)]
+        vals[2] = 3.0
+        assert missing_spans(trace, "t") == [(180, 660)]
 
 
 class TestLabelFiles:

@@ -413,17 +413,22 @@ def loop_runs(trace, eligible):
 
 
 def loop_missing_spans(trace, sensor):
-    col = trace.sensor(sensor)
+    """A walk over the trace's time: each present reading covers one period
+    from its stamp, and every stretch the walk crosses uncovered, up to one
+    period past the last stamp, is a span."""
+    ts = trace.timestamps.tolist()
+    if not ts:
+        return []
     period = data.sample_period(trace) or 60
-    spans, a = [], None
-    for i in range(len(trace)):
-        if np.isnan(col[i]) and a is None:
-            a = i
-        elif not np.isnan(col[i]) and a is not None:
-            spans.append((int(trace.timestamps[a]), int(trace.timestamps[i - 1]) + period))
-            a = None
-    if a is not None:
-        spans.append((int(trace.timestamps[a]), int(trace.timestamps[-1]) + period))
+    spans, covered_to = [], ts[0]
+    for stamp, value in zip(ts, trace.sensor(sensor).tolist()):
+        if math.isnan(value):
+            continue
+        if stamp > covered_to:
+            spans.append((covered_to, stamp))
+        covered_to = stamp + period
+    if ts[-1] + period > covered_to:
+        spans.append((covered_to, ts[-1] + period))
     return spans
 
 

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import IDENT_NORM
-from hivewatch.data import NormalizationParams, SensorColumn, SensorTrace
+from hivewatch.data import NormalizationParams, SensorColumn, SensorTrace, sample_period
 from hivewatch.detector import (
     CalibrationStats,
     DetectionEvent,
@@ -223,6 +225,63 @@ class TestScoreTrace:
         model = blind_model(4, norm=NormalizationParams(mean=1.0, std=2.0))
         scores = score_trace(model, minute_trace(np.full(4, 3.0)), "temp_core")
         np.testing.assert_allclose(scores.errors, [1.0])  # ((3-1)/2)^2
+
+
+def blank_runs_plus_jumps(trace, sensor):
+    """Gaps as two scans once gave them: runs of blank cells, then the
+    timestamp jumps, sorted and merged where they touch."""
+    col = trace.sensor(sensor)
+    ts = trace.timestamps.tolist()
+    period = sample_period(trace) or 60
+    spans, a = [], None
+    for i in range(len(ts) + 1):
+        blank = i < len(ts) and np.isnan(col[i])
+        if blank and a is None:
+            a = i
+        elif not blank and a is not None:
+            spans.append((ts[a], ts[i - 1] + period))
+            a = None
+    spans += [(ts[i] + period, ts[i + 1]) for i in range(len(ts) - 1) if ts[i + 1] - ts[i] != period]
+    merged = []
+    for a, b in sorted(spans):
+        if merged and a <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], b)
+        else:
+            merged.append([a, b])
+    return [(a, b) for a, b in merged]
+
+
+def one_sensor(ts, vals):
+    return SensorTrace("h", [SensorColumn("temp_core", "°C")], np.array(ts, dtype=np.int64),
+                       np.array([vals], dtype=np.float64))
+
+
+@st.composite
+def gap_traces(draw):
+    """0-60 readings, a smallest step of 60 or 120 s with jumps of two and
+    three steps and an hour, any share of blank cells (at either end
+    too), and infinite cells."""
+    n = draw(st.integers(0, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    step = draw(st.sampled_from([60, 120]))
+    jumps = rng.choice([2 * step, 3 * step, 3600], n)
+    steps = np.where(rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.4])), jumps, step)
+    vals = rng.normal(34.5, 1.0, n)
+    vals[rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))] = np.nan
+    vals[rng.random(n) < 0.05] = np.inf
+    if n and draw(st.booleans()):
+        vals[0] = vals[-1] = np.nan
+    return one_sensor(86400 * 400 + np.cumsum(steps), vals)
+
+
+@given(trace=gap_traces())
+@example(trace=one_sensor([], []))
+@example(trace=one_sensor([0], [np.nan]))
+@example(trace=one_sensor([0], [np.inf]))
+@settings(max_examples=200, deadline=None)
+def test_gaps_are_blank_runs_plus_timestamp_jumps(trace) -> None:
+    scores = score_trace(blind_model(4), trace, "temp_core")
+    assert scores.gaps == blank_runs_plus_jumps(trace, "temp_core")
 
 
 def synthetic_scores(errors, gaps=(), period=60, window_size=4, trace_values=None):
