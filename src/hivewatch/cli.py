@@ -428,6 +428,8 @@ def _overlaps(a_start: int, a_end: int, b_start: int, b_end: int, tol: int) -> b
 
 
 def cmd_report(args) -> int:
+    if args.window_size < 0 or args.period < 0:
+        raise UsageError("report needs a --window-size and --period of 0 or more")
     if args.truth:
         reference = read_events(args.truth)
     elif args.rba_events:

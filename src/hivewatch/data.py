@@ -540,12 +540,12 @@ def build_splits(labels: list[DayLabel], validation_fraction: float = 0.1) -> Sp
     if not 0 < validation_fraction < 1:
         raise ValueError("validation_fraction must be in (0, 1)")
     normal = sorted(l.day for l in labels if l.label == "normal")
-    if not normal:
-        raise NoNormalDays("no normal-labeled days to train on")
     n = len(normal)
-    n_train = int(math.floor(n * (1.0 - validation_fraction)))
-    if n >= 2:
-        n_train = min(max(n_train, 1), n - 1)
+    if n < 2:
+        raise NoNormalDays(
+            f"need 2 normal-labeled days (one to train on, one to validate on), have {n}"
+        )
+    n_train = min(max(int(math.floor(n * (1.0 - validation_fraction))), 1), n - 1)
     return SplitSet(
         training=set(normal[:n_train]),
         validation=set(normal[n_train:]),

@@ -28,7 +28,8 @@ class UnknownSensor(HivewatchError):
 
 
 class NoNormalDays(HivewatchError):
-    """Split construction needs at least one normal-labeled day."""
+    """Split construction needs two normal-labeled days: one to train on,
+    one to validate on."""
 
 
 class DegenerateStd(HivewatchError):

@@ -5,7 +5,6 @@ from .checkpoint import load_model, save_model
 from .lstm import LSTMLayerParams, init_layer, lstm_backward, lstm_forward
 from .model import (
     AutoencoderModel,
-    StepBuffers,
     backward,
     forward,
     init_model,
@@ -20,7 +19,6 @@ __all__ = [
     "AutoencoderModel",
     "EpochStats",
     "LSTMLayerParams",
-    "StepBuffers",
     "TrainConfig",
     "TrainResult",
     "adam_step",

@@ -28,7 +28,7 @@ import pickle
 import signal
 import threading
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -221,10 +221,19 @@ def forward(model: AutoencoderModel, x: np.ndarray) -> np.ndarray:
     return _forward_batch(model, _one_window(model, x)).Y[:, 0]
 
 
+#: Per thread, the training cache arrays its last `_half_step` on each
+#: half of a batch left, as its attributes {half: {shape: arrays}}. Half
+#: 0 runs on the caller; half 1 on the worker, or on the caller when it
+#: runs both. Scoring frees them.
+_held = threading.local()
+
+
 def _chunk_errors(model: AutoencoderModel, chunk: np.ndarray) -> np.ndarray:
-    """Each column's mean squared error. The residual is formed and
-    squared in the reconstruction's own array, which is freed on return,
-    before the next chunk's forward allocates."""
+    """Each column's mean squared error. The thread's training caches are
+    freed first. The residual is formed and squared in the
+    reconstruction's own array, which is freed on return, before the
+    next chunk's forward allocates."""
+    vars(_held).clear()
     R = _forward_batch(model, chunk).Y
     R -= chunk
     np.square(R, out=R)
@@ -260,32 +269,21 @@ def _serve(requests, replies) -> None:
     """The worker's loop, until the caller's end of `requests` closes;
     both are `multiprocessing.connection.Connection`s.
 
-    A request is (task, arguments, the caller's `np.geterr()`); the
-    reply is ("ok", result, warnings) or ("error", exception, warnings),
-    with every warning the task raised as (message, category, filename,
-    line) for the caller to issue again. The second half of a training
-    step writes its caches into arrays the worker keeps while the caller
-    keeps its own (`keep`); any other request frees them.
+    A request is (the name of a function of this module, its arguments,
+    the caller's `np.geterr()`); the reply is ("ok", result, warnings) or
+    ("error", exception, warnings), with every warning the call raised
+    as (message, category, filename, line) for the caller to issue again.
     """
-    held = _Slot()
     while True:
         try:
-            task, args, err = requests.recv()
+            name, args, err = requests.recv()
         except EOFError:
             return
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
                 with np.errstate(**err):
-                    if task == "score":
-                        held = _Slot()  # frees the arrays the last step left
-                        result = _chunk_errors(*args)
-                    else:
-                        model, X, scale, keep = args
-                        if not keep:
-                            held = _Slot()
-                        result = _half_step(model, X, scale, held if keep else None)
-                reply = ("ok", result)
+                    reply = ("ok", globals()[name](*args))
             except Exception as exc:
                 try:  # the caller must be able to raise what it receives
                     pickle.loads(pickle.dumps(exc))
@@ -351,14 +349,14 @@ class _Worker:
         self.requests = Connection(to_worker, readable=False)
         self.replies = Connection(from_worker, writable=False)
 
-    def submit(self, task: str, args: tuple) -> bool:
+    def submit(self, name: str, args: tuple) -> bool:
         """Send one request; False, and the worker dropped, if it is lost.
         A write cut off part-way also drops it, since the worker would
         read the next request as the rest of this one."""
         if self.pid is None:
             return False
         try:
-            self.requests.send((task, args, np.geterr()))
+            self.requests.send((name, args, np.geterr()))
         except OSError:
             _stop_worker(lost=True)
             return False
@@ -481,28 +479,29 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_worker)
 
 
-def _beside(worker: _Worker | None, task: str, args: tuple, here, there):
-    """Run `here()` on the calling thread while the worker runs `task` on
-    `args`; return both results, here's first. Without a worker, or once
-    it is lost, the caller runs `there()`, the same work, itself. The
-    task's warnings are issued again here and its exception raised
-    here; an exception of `here()` wins over the task's."""
-    sent = worker is not None and worker.submit(task, args)
+def _beside(worker: _Worker | None, name: str, mine: tuple, theirs: tuple):
+    """Call this module's function `name` on `mine` on the calling thread
+    while the worker calls it on `theirs`; return both results, mine
+    first. Without a worker, or once it is lost, the caller makes the
+    second call too. The name is looked up at call time, on both sides.
+    The worker's warnings are issued again here and its exception raised
+    here; an exception of the caller's own call wins over the worker's."""
+    sent = worker is not None and worker.submit(name, theirs)
     try:
-        mine = here()
+        result = globals()[name](*mine)
     except BaseException:
         if sent:
             worker.reply()  # the next request must not read this reply
         raise
     answer = worker.reply() if sent else None
     if answer is None:
-        return mine, there()
+        return result, globals()[name](*theirs)
     status, value, caught = answer
     for message, category, filename, lineno in caught:
         warnings.warn_explicit(message, category, filename, lineno)
     if status == "error":
         raise value
-    return mine, value
+    return result, value
 
 
 def reconstruction_errors(model: AutoencoderModel, X: np.ndarray) -> np.ndarray:
@@ -511,6 +510,7 @@ def reconstruction_errors(model: AutoencoderModel, X: np.ndarray) -> np.ndarray:
     and validation. A matrix whose T is not the model's window size, such
     as an (n, T) one, raises `LengthMismatch`.
 
+    Frees the training caches first, on each side (`_chunk_errors`).
     Runs the cache-free forward over the chunks of `_chunk_bounds`. With
     two chunks or more the worker scores every other one, in the
     caller's `np.errstate`. Every chunk's result depends only on its
@@ -520,20 +520,17 @@ def reconstruction_errors(model: AutoencoderModel, X: np.ndarray) -> np.ndarray:
         raise LengthMismatch(
             f"window matrix {X.shape} needs {model.window_size} rows, one window per column"
         )
+    vars(_held).clear()  # before the output and the worker's request allocate
     out = np.empty(X.shape[1])
     bounds = _chunk_bounds(X.shape[1])
-
-    def errors(a: int, b: int) -> np.ndarray:
-        return _chunk_errors(model, X[:, a:b])
-
     if len(bounds) < 2:
         for a, b in bounds:
-            out[a:b] = errors(a, b)
+            out[a:b] = _chunk_errors(model, X[:, a:b])
         return out
     with _claimed_worker() as worker:
         for (a, b), (c, d) in zip(bounds[::2], bounds[1::2]):  # an even count, see above
             out[a:b], out[c:d] = _beside(
-                worker, "score", (model, X[:, c:d]), lambda: errors(a, b), lambda: errors(c, d)
+                worker, "_chunk_errors", (model, X[:, a:b]), (model, X[:, c:d])
             )
     return out
 
@@ -546,47 +543,26 @@ def reconstruction_loss(x: np.ndarray, x_bar: np.ndarray) -> float:
     return float(np.mean((a - b) ** 2))
 
 
-@dataclass
-class _Slot:
-    """One half-batch's cache arrays, one (dZ, F, dc_dh, H) per layer,
-    encoder first, for a batch of shape `key` (T, B, hs, layers)."""
-
-    key: tuple[int, ...] | None = None
-    layers: list[tuple[np.ndarray, ...]] = field(default_factory=list)
-
-
-class StepBuffers:
-    """The cache arrays a training step leaves for the next step on a
-    batch of the same shape. `loss_and_gradients(model, X, buffers)`
-    writes each half's caches, 7·hs·B·T float64 per layer, into the
-    arrays the last step left for that half, instead of allocating (and,
-    with glibc's default malloc, page-faulting in) its own. The caller
-    keeps the first half's; the second half's are the worker's own, or
-    the caller's when it runs that half itself. `train` keeps one per
-    epoch."""
-
-    def __init__(self) -> None:
-        self.halves = (_Slot(), _Slot())
-
-
 def _half_step(
-    model: AutoencoderModel, X: np.ndarray, scale: float, slot: _Slot | None = None
+    model: AutoencoderModel, X: np.ndarray, scale: float, half: int
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """One share of a training step over (T, B) windows: the sum of its
-    squared residuals and its gradients, with dY = `scale` · residual.
+    """One `half` (0 or 1) of a training step over (T, B) windows: the sum
+    of its squared residuals and its gradients, with dY = `scale` ·
+    residual.
 
     The forward keeps, per layer, only what the backward reads (see
-    `LSTMCache`), written into `slot`'s arrays when they have this
-    share's shapes.
+    `LSTMCache`), 7·hs·B·T float64. It writes them into the arrays this
+    thread's last step on the same half left, when they have this
+    half's shapes, instead of allocating (and, with glibc's default
+    malloc, page-faulting in) its own; arrays of other shapes are freed
+    first. The thread keeps this step's arrays until scoring frees them.
     """
     T, B = X.shape
     hs = model.hidden_size
     n = model.n_layers
     key = (T, B, hs, n)
-    reuse = None
-    if slot is not None:
-        reuse = slot.layers if slot.key == key else None
-        slot.key, slot.layers = None, []  # arrays of other shapes are freed here
+    held = vars(_held)
+    reuse = held.pop(half, {}).get(key)
     cache = _forward_batch(model, X, keep_cache=True, reuse=reuse)
     # The residual, then dY, is formed in the reconstruction's array.
     dY = cache.Y
@@ -628,14 +604,12 @@ def _half_step(
     grads = {"output.W": dW_out, "output.b": np.array([dY.sum()])}
     for layer, g in layer_grads:
         grads.update({f"{layer}.{name}": arr for name, arr in g.items()})
-    if slot is not None:
-        slot.key = key
-        slot.layers = [(c.dZ, c.F, c.dc_dh, c.H) for c in cache.encoder + cache.decoder]
+    held[half] = {key: [(c.dZ, c.F, c.dc_dh, c.H) for c in cache.encoder + cache.decoder]}
     return squares, grads
 
 
 def loss_and_gradients(
-    model: AutoencoderModel, X: np.ndarray, buffers: StepBuffers | None = None
+    model: AutoencoderModel, X: np.ndarray
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Batch loss and gradients for (T, B) windows; the training step.
 
@@ -644,23 +618,19 @@ def loss_and_gradients(
     and backward while the caller runs the first, or the caller runs
     both in turn. Each half scales its dY by the whole batch's 2/(T·B),
     so the halves' gradients add, first half first, to the batch's.
-    Either way the result has the same bits. One window runs whole.
+    Either way the result has the same bits. One window runs whole, as
+    half 0.
     """
     T, B = X.shape
     scale = 2.0 / (T * B)
-    first, second = buffers.halves if buffers is not None else (None, None)
     if B < 2:
-        squares, grads = _half_step(model, X, scale, first)
+        squares, grads = _half_step(model, X, scale, 0)
         return squares / (T * B), grads
     h = B // 2
     X1, X2 = np.ascontiguousarray(X[:, :h]), np.ascontiguousarray(X[:, h:])
     with _claimed_worker() as worker:
         (squares, grads), (more, other) = _beside(
-            worker,
-            "step",
-            (model, X2, scale, buffers is not None),
-            lambda: _half_step(model, X1, scale, first),
-            lambda: _half_step(model, X2, scale, second),
+            worker, "_half_step", (model, X1, scale, 0), (model, X2, scale, 1)
         )
     for name, g in grads.items():
         g += other[name]

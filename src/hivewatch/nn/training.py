@@ -11,7 +11,6 @@ from ..errors import EmptyDataset, LengthMismatch, TrainingDiverged
 from .adam import adam_step, init_adam
 from .model import (
     AutoencoderModel,
-    StepBuffers,
     loss_and_gradients,
     model_parameters,
     reconstruction_errors,
@@ -122,15 +121,13 @@ def train(
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(n)
         running = 0.0
-        buffers = StepBuffers()  # the epoch's full batches share one set of cache arrays
         with np.errstate(all="ignore"):
             for batch, start in enumerate(range(0, n, config.batch_size), 1):
                 idx = order[start : start + config.batch_size]
-                loss, grads = loss_and_gradients(work, Xtr[:, idx], buffers)
+                loss, grads = loss_and_gradients(work, Xtr[:, idx])
                 _check_finite(loss, config, f"epoch {epoch} batch {batch} loss")
                 adam_step(params, grads, state, config)
                 running += loss * len(idx)
-            del buffers  # freed before validation scores the model
             train_loss = running / n
             val_loss = _mean_loss(work, Xval)
             _check_finite(val_loss, config, f"epoch {epoch} validation loss")

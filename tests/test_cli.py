@@ -173,6 +173,28 @@ class TestTrain:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not (out / "model.bin").exists()
 
+    @pytest.mark.parametrize("source", ["labels", "one-reading"])
+    def test_one_normal_day_is_data_error(self, tmp_path, capsys, source) -> None:
+        """Labels with one normal day, and a trace of one reading (one
+        auto-labelled day), leave nothing to validate on: exit 3 with a
+        line that says two normal days are needed, and no checkpoint."""
+        synth = tmp_path / "s"
+        assert run("synth", "--days", "2", "--seed", "4",
+                   "--anomaly", "1:sensor-failure:600", "--out-dir", str(synth)) == 0
+        if source == "labels":
+            argv = ["--input", str(synth / "trace.csv"), "--labels", str(synth / "labels.csv")]
+        else:
+            one = tmp_path / "one.csv"
+            one.write_text("".join((synth / "trace.csv").read_text().splitlines(True)[:2]))
+            argv = ["--input", str(one)]
+        capsys.readouterr()
+        out = tmp_path / "t"
+        assert run("train", *argv, "--sensor", "temp_core", "--out-dir", str(out)) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: data: NoNormalDays: need 2 normal-labeled days "
+                       "(one to train on, one to validate on), have 1"]
+        assert not (out / "model.bin").exists()
+
     @pytest.mark.parametrize("command", ["train", "search"])
     def test_diverging_run_is_usage_error(self, tmp_path, capsys, command) -> None:
         """A learning rate of 1e300 makes the second batch's loss
@@ -911,6 +933,22 @@ class TestReport:
 
     def test_needs_reference(self, tmp_path) -> None:
         assert run("report", "--out-dir", str(tmp_path / "rep")) == 2
+
+    @pytest.mark.parametrize("flag", ["--window-size", "--period"])
+    def test_negative_tolerance_is_usage_error(self, tmp_path, capsys, flag) -> None:
+        """A negative tolerance would narrow every match; it is refused
+        with exit 2 and no report, while 0 is allowed."""
+        truth = [self._event(100, 120, "truth", "swarm")]
+        write_events(tmp_path / "truth.csv", truth)
+        out = tmp_path / "rep"
+        assert run("report", "--truth", str(tmp_path / "truth.csv"),
+                   flag, "-3", "--out-dir", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage: report needs") and flag in err
+        assert not (out / "report.csv").exists()
+        assert run("report", "--truth", str(tmp_path / "truth.csv"),
+                   flag, "0", "--out-dir", str(out)) == 0
+        assert (out / "report.csv").read_text().splitlines()[1].endswith("swarm,no,no")
 
     def test_stamps_without_offset_read_as_utc(self, tmp_path, monkeypatch) -> None:
         """A truth stamp with no offset is UTC, as in `ingest`, whatever

@@ -286,6 +286,11 @@ class TestBuildSplits:
         with pytest.raises(NoNormalDays):
             build_splits(self.labels(0, n_anom=3))
 
+    def test_one_normal_day(self):
+        """One normal day cannot fill both splits; the error says so."""
+        with pytest.raises(NoNormalDays, match="need 2 normal-labeled days .*, have 1"):
+            build_splits(self.labels(1, n_anom=1))
+
     def test_coverage_and_disjointness(self):
         rng = np.random.default_rng(42)
         for _ in range(20):

@@ -25,7 +25,6 @@ import hivewatch.nn.model as nn_model
 from hivewatch.cli import main
 from hivewatch.errors import ShapeMismatch
 from hivewatch.nn import (
-    StepBuffers,
     TrainConfig,
     init_layer,
     init_model,
@@ -36,6 +35,7 @@ from hivewatch.nn import (
     train,
 )
 from hivewatch.nn.lstm import _gate_rows, _time_invariant
+from hivewatch.nn.model import reconstruction_errors
 
 
 @dataclass
@@ -219,15 +219,15 @@ def rough_model(hs, n, T, seed):
 
 @pytest.fixture
 def step_requests(worker_mode, monkeypatch):
-    """The tasks sent to the worker during the test: with the worker, a
-    step of two windows or more sends it its second half; without it,
-    nothing is sent."""
+    """The names of the functions the worker was asked to call during
+    the test: with the worker, a step of two windows or more sends it its
+    second half; without it, nothing is sent."""
     sent = []
     real_submit = nn_model._Worker.submit
 
-    def submit(self, task, args):
-        sent.append(task)
-        return real_submit(self, task, args)
+    def submit(self, name, args):
+        sent.append(name)
+        return real_submit(self, name, args)
 
     monkeypatch.setattr(nn_model._Worker, "submit", submit)
     yield sent
@@ -263,7 +263,7 @@ class TestSameBitsAsSerial:
         for name in want:
             assert got[name].tobytes() == want[name].tobytes(), name
         if worker_mode == "worker":
-            assert step_requests == ([] if B < 2 else ["step"])
+            assert step_requests == ([] if B < 2 else ["_half_step"])
         # The split only reorders sums: the unsplit serial step agrees to
         # rounding, within 1e-12 of each array's largest entry.
         T = X.shape[0]
@@ -325,38 +325,92 @@ class TestStepMemory:
         assert peak < caches + (2 << 20)
 
 
+def held_shapes():
+    """The shapes of the training caches the calling thread holds, by
+    half; called by name, in the caller and in the worker."""
+    return {half: list(slot) for half, slot in vars(nn_model._held).items()}
+
+
+def held_arrays():
+    """Every training cache array the calling thread holds."""
+    return [a for slot in vars(nn_model._held).values() for layers in slot.values()
+            for cache in layers for a in cache]
+
+
+def same_arrays(a, b):
+    return len(a) == len(b) > 0 and all(x is y for x, y in zip(a, b))
+
+
 class TestStepBuffers:
     def test_steps_write_into_the_last_steps_arrays(self, worker_mode):
-        """With `StepBuffers`, each half of a step writes its caches into
-        the arrays the last step's same half left, and the step gives the
-        bits of a step that allocates its own; a batch of another width
-        gets fresh arrays, and so does the next full batch after it. The
-        caller keeps the second half's arrays only when it runs that half
-        itself; the worker keeps its own."""
+        """Each half of a step writes its caches into the arrays the
+        thread's last step on the same half left, and the step gives the
+        bits of a fresh serial step; a batch of another width gets fresh
+        arrays, and so does the next full batch after it. The caller
+        keeps half 1's arrays only when it runs that half itself."""
         n, hs, T = 2, 5, 12
         model = rough_model(hs, n, T, seed=21)
         rng = np.random.default_rng(22)
-        buffers, kept = StepBuffers(), []
+        held, kept = vars(nn_model._held), []
+        held.clear()
         for B in (7, 7, 3, 7):
             X = rng.normal(size=(T, B))
-            want_loss, want = loss_and_gradients(model, X)
-            loss, got = loss_and_gradients(model, X, buffers)
+            want_loss, want = reference_loss_and_gradients(model, X)
+            loss, got = loss_and_gradients(model, X)
             assert loss == want_loss
             for name in want:
                 assert got[name].tobytes() == want[name].tobytes(), name
-            first, second = buffers.halves
             widths = [B // 2] + ([B - B // 2] if worker_mode == "alone" else [])
-            for half, width in zip(buffers.halves, widths):
-                assert len(half.layers) == 2 * n
-                assert all(a.shape[::2] == (T, width) for arrays in half.layers for a in arrays)
-            if worker_mode == "worker":
-                assert second.layers == []
-            kept.append([a for half in buffers.halves for arrays in half.layers for a in arrays])
+            assert held_shapes() == {half: [(T, w, hs, n)] for half, w in enumerate(widths)}
+            arrays = held_arrays()
+            assert len(arrays) == len(widths) * 2 * n * 4
+            for half, width in enumerate(widths):
+                for cache in held[half][(T, width, hs, n)]:
+                    assert all(a.shape[::2] == (T, width) for a in cache)
+            kept.append(arrays)
         first, again, narrow, full = kept
-        assert len(first) == len(again) == len(narrow) == len(full) > 0
-        assert all(a is b for a, b in zip(first, again))
+        assert same_arrays(first, again)
         assert not any(a is b for a, b in zip(again, narrow))
         assert not any(a is b for a, b in zip(again, full))
+
+    def test_each_thread_keeps_its_own(self, monkeypatch):
+        """A step of another width on another thread neither takes nor
+        frees this thread's arrays."""
+        use_worker(monkeypatch, False)
+        n, hs, T = 2, 5, 12
+        model = rough_model(hs, n, T, seed=26)
+        X = np.random.default_rng(27).normal(size=(T, 7))
+        vars(nn_model._held).clear()
+        loss_and_gradients(model, X)
+        shapes, arrays = held_shapes(), held_arrays()
+        done = []
+        other = threading.Thread(target=lambda: done.append(loss_and_gradients(model, X[:, :3])))
+        other.start()
+        other.join(timeout=60)
+        assert len(done) == 1
+        assert held_shapes() == shapes and same_arrays(held_arrays(), arrays)
+
+    def test_scoring_frees_them(self, worker_mode, monkeypatch):
+        """The worker keeps half 1's arrays and the caller half 0's, or
+        both halves' without the worker; scoring frees them on both
+        sides. Each side reports its own by name, through the worker's
+        one request shape."""
+        monkeypatch.setattr(nn_model, "held_shapes", held_shapes, raising=False)  # before the fork
+        n, hs, T = 2, 5, 12
+        model = rough_model(hs, n, T, seed=24)
+        X = np.random.default_rng(25).normal(size=(T, 2 * nn_model.SCORE_BATCH))
+        vars(nn_model._held).clear()
+        loss_and_gradients(model, X[:, :9])
+        half0, half1 = {0: [(T, 4, hs, n)]}, {1: [(T, 5, hs, n)]}
+        with nn_model._claimed_worker() as worker:
+            mine, theirs = nn_model._beside(worker, "held_shapes", (), ())
+        if worker_mode == "worker":
+            assert worker is not None and (mine, theirs) == (half0, half1)
+        else:
+            assert worker is None and mine == theirs == {**half0, **half1}
+        reconstruction_errors(model, X)
+        with nn_model._claimed_worker() as worker:
+            assert nn_model._beside(worker, "held_shapes", (), ()) == ({}, {})
 
     def test_forward_checks_the_arrays_it_reuses(self):
         rng = np.random.default_rng(23)
@@ -542,23 +596,24 @@ class TestWorkerTasks:
         """More `train` callers than CPUs on one worker, switching threads
         every microsecond: one holds the worker at a time and the others
         work alone; each gets its result's bytes without the worker, and
-        none hangs."""
-        config = TrainConfig(batch_size=24, max_epochs=2, seed=5)
+        none hangs. Two callers train at an odd batch size, so halves of
+        different widths run at once on the threads and on the worker."""
         cases = []
         for k in range(4):
             rng = np.random.default_rng(k)
             cases.append((init_model(3, 1 + k % 2, 8, seed=k, norm=IDENT_NORM),
-                          rng.normal(size=(8, 48)), rng.normal(size=(8, 8))))
+                          rng.normal(size=(8, 48)), rng.normal(size=(8, 8)),
+                          TrainConfig(batch_size=24 + k // 2, max_epochs=2, seed=5)))
 
         def weights(result):
             return [p.tobytes() for p in model_parameters(result.model).values()]
 
         use_worker(monkeypatch, False)
-        want = [weights(train(*case, config)) for case in cases]
+        want = [weights(train(*case)) for case in cases]
         got = [None] * len(cases)
 
         def call(k):
-            got[k] = weights(train(*cases[k], config))
+            got[k] = weights(train(*cases[k]))
 
         use_worker(monkeypatch, True)
         loss_and_gradients(*cases[0][:2])  # starts the worker before any thread does
