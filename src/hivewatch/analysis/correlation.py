@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from ..data import SensorTrace
+from ..errors import EmptyDataset
 
 @dataclass
 class CorrelationMatrix:
@@ -30,12 +31,15 @@ class CorrelationMatrix:
 def pearson_matrix(trace: SensorTrace, sensors: list[str], days) -> CorrelationMatrix:
     """Pearson r for every sensor pair, using only timestamps in `days`
     where both readings are present. Constant overlaps stay undefined
-    rather than being forced to zero.
+    rather than being forced to zero. Days that hold no reading of any
+    of the sensors raise `EmptyDataset`.
     """
     if len(sensors) < 2:
         raise ValueError("need at least two sensors to correlate")
     cols = [trace.sensor(s) for s in sensors]  # raises UnknownSensor
     day_mask = trace.day_mask(days)
+    if not any((day_mask & np.isfinite(c)).any() for c in cols):
+        raise EmptyDataset(f"the selected days hold no reading of the {len(sensors)} sensors")
 
     k = len(sensors)
     values = np.full((k, k), np.nan)

@@ -349,6 +349,8 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    if args.merge_gap < 0:
+        raise UsageError("detect needs a --merge-gap of 0 or more")
     model = load_model(args.checkpoint)
     if args.threshold:
         threshold = read_threshold(args.threshold)

@@ -38,7 +38,8 @@ class DegenerateStd(HivewatchError):
 
 
 class EmptyDataset(HivewatchError):
-    """Training requires non-empty window sets."""
+    """The selected days or windows hold nothing to train on, normalize
+    or correlate."""
 
 
 class EmptyValidation(HivewatchError):

@@ -167,7 +167,6 @@ def lstm_forward(
     h0: np.ndarray | None = None,
     keep_cache: bool = True,
     emit: str | np.ndarray = "states",
-    reuse: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray, LSTMCache | None]:
     """Run the layer over a (T, B, input_size) batch of sequences, from
     the initial hidden state `h0` (B, hs; zero when None) and a zero cell
@@ -184,9 +183,7 @@ def lstm_forward(
       `states @ w` uses, so it gives the same bits.
 
     Both `keep_cache` settings run the same loop and give bit-identical
-    outputs. With `keep_cache`, `reuse` may hand over the (dZ, F, dc_dh,
-    H) arrays of a cache of the same shapes that nothing reads any more;
-    the new cache then writes them instead of allocating its own.
+    outputs.
 
     Each step computes all four gate pre-activations with one matmul of
     [U | W | b] against a (hs + input_size + 1, B) buffer holding h_{t-1},
@@ -229,11 +226,7 @@ def lstm_forward(
         x[...] = X[0].T
     c = np.zeros((hs, B))  # c_{t-1}: zero before the first step
     h_init = h.copy() if keep_cache else None
-    if keep_cache and reuse is not None:
-        dZ, F, dc_dh, H = reuse
-        if dZ.shape != (T, 4 * hs, B) or any(arr.shape != (T, hs, B) for arr in (F, dc_dh, H)):
-            raise ShapeMismatch(f"arrays to reuse do not fit a ({T}, {hs}, {B}) cache")
-    elif keep_cache:
+    if keep_cache:
         dZ, F, dc_dh = np.empty((T, 4 * hs, B)), np.empty((T, hs, B)), np.empty((T, hs, B))
         H = np.empty((T, hs, B))
     else:

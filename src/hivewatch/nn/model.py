@@ -160,7 +160,6 @@ def _forward_batch(
     model: AutoencoderModel,
     X: np.ndarray,
     keep_cache: bool = False,
-    reuse: list[tuple[np.ndarray, ...]] | None = None,
 ) -> _ForwardCache:
     """Forward pass over a (T, B) batch of z-scored windows.
 
@@ -172,21 +171,17 @@ def _forward_batch(
     top layers keep none.
 
     The per-layer backward caches are built only with `keep_cache`;
-    scoring and validation never build them. `reuse` holds arrays for
-    them to write, one (dZ, F, dc_dh, H) per layer, encoder first.
+    scoring and validation never build them.
     """
     T, B = X.shape
     hs = model.hidden_size
     top = model.n_layers - 1
-    arrays = iter(reuse or ())
 
     seq = X[:, :, None]
     enc_caches = []
     for k, layer in enumerate(model.encoder_layers):
         emit = "final" if k == top else "states"
-        seq, latent, cache = lstm_forward(
-            layer, seq, keep_cache=keep_cache, emit=emit, reuse=next(arrays, None)
-        )
+        seq, latent, cache = lstm_forward(layer, seq, keep_cache=keep_cache, emit=emit)
         enc_caches.append(cache)
 
     # The latent code is a (B, hs) view of the top encoder layer's state
@@ -197,9 +192,7 @@ def _forward_batch(
     dec_caches = []
     for k, layer in enumerate(model.decoder_layers):
         emit = model.w_out[0] if k == top else "states"
-        seq, _, cache = lstm_forward(
-            layer, seq, h0=latent, keep_cache=keep_cache, emit=emit, reuse=next(arrays, None)
-        )
+        seq, _, cache = lstm_forward(layer, seq, h0=latent, keep_cache=keep_cache, emit=emit)
         dec_caches.append(cache)
 
     seq += model.b_out[0]
@@ -221,19 +214,10 @@ def forward(model: AutoencoderModel, x: np.ndarray) -> np.ndarray:
     return _forward_batch(model, _one_window(model, x)).Y[:, 0]
 
 
-#: Per thread, the training cache arrays its last `_half_step` on each
-#: half of a batch left, as its attributes {half: {shape: arrays}}. Half
-#: 0 runs on the caller; half 1 on the worker, or on the caller when it
-#: runs both. Scoring frees them.
-_held = threading.local()
-
-
 def _chunk_errors(model: AutoencoderModel, chunk: np.ndarray) -> np.ndarray:
-    """Each column's mean squared error. The thread's training caches are
-    freed first. The residual is formed and squared in the
-    reconstruction's own array, which is freed on return, before the
-    next chunk's forward allocates."""
-    vars(_held).clear()
+    """Each column's mean squared error. The residual is formed and
+    squared in the reconstruction's own array, which is freed on return,
+    before the next chunk's forward allocates."""
     R = _forward_batch(model, chunk).Y
     R -= chunk
     np.square(R, out=R)
@@ -510,7 +494,6 @@ def reconstruction_errors(model: AutoencoderModel, X: np.ndarray) -> np.ndarray:
     and validation. A matrix whose T is not the model's window size, such
     as an (n, T) one, raises `LengthMismatch`.
 
-    Frees the training caches first, on each side (`_chunk_errors`).
     Runs the cache-free forward over the chunks of `_chunk_bounds`. With
     two chunks or more the worker scores every other one, in the
     caller's `np.errstate`. Every chunk's result depends only on its
@@ -520,7 +503,6 @@ def reconstruction_errors(model: AutoencoderModel, X: np.ndarray) -> np.ndarray:
         raise LengthMismatch(
             f"window matrix {X.shape} needs {model.window_size} rows, one window per column"
         )
-    vars(_held).clear()  # before the output and the worker's request allocate
     out = np.empty(X.shape[1])
     bounds = _chunk_bounds(X.shape[1])
     if len(bounds) < 2:
@@ -544,26 +526,18 @@ def reconstruction_loss(x: np.ndarray, x_bar: np.ndarray) -> float:
 
 
 def _half_step(
-    model: AutoencoderModel, X: np.ndarray, scale: float, half: int
+    model: AutoencoderModel, X: np.ndarray, scale: float
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """One `half` (0 or 1) of a training step over (T, B) windows: the sum
-    of its squared residuals and its gradients, with dY = `scale` ·
-    residual.
+    """One half of a training step over (T, B) windows: the sum of its
+    squared residuals and its gradients, with dY = `scale` · residual.
 
     The forward keeps, per layer, only what the backward reads (see
-    `LSTMCache`), 7·hs·B·T float64. It writes them into the arrays this
-    thread's last step on the same half left, when they have this
-    half's shapes, instead of allocating (and, with glibc's default
-    malloc, page-faulting in) its own; arrays of other shapes are freed
-    first. The thread keeps this step's arrays until scoring frees them.
+    `LSTMCache`), 7·hs·B·T float64, all freed on return.
     """
     T, B = X.shape
     hs = model.hidden_size
     n = model.n_layers
-    key = (T, B, hs, n)
-    held = vars(_held)
-    reuse = held.pop(half, {}).get(key)
-    cache = _forward_batch(model, X, keep_cache=True, reuse=reuse)
+    cache = _forward_batch(model, X, keep_cache=True)
     # The residual, then dY, is formed in the reconstruction's array.
     dY = cache.Y
     dY -= X
@@ -604,7 +578,6 @@ def _half_step(
     grads = {"output.W": dW_out, "output.b": np.array([dY.sum()])}
     for layer, g in layer_grads:
         grads.update({f"{layer}.{name}": arr for name, arr in g.items()})
-    held[half] = {key: [(c.dZ, c.F, c.dc_dh, c.H) for c in cache.encoder + cache.decoder]}
     return squares, grads
 
 
@@ -618,19 +591,18 @@ def loss_and_gradients(
     and backward while the caller runs the first, or the caller runs
     both in turn. Each half scales its dY by the whole batch's 2/(T·B),
     so the halves' gradients add, first half first, to the batch's.
-    Either way the result has the same bits. One window runs whole, as
-    half 0.
+    Either way the result has the same bits. One window runs whole.
     """
     T, B = X.shape
     scale = 2.0 / (T * B)
     if B < 2:
-        squares, grads = _half_step(model, X, scale, 0)
+        squares, grads = _half_step(model, X, scale)
         return squares / (T * B), grads
     h = B // 2
     X1, X2 = np.ascontiguousarray(X[:, :h]), np.ascontiguousarray(X[:, h:])
     with _claimed_worker() as worker:
         (squares, grads), (more, other) = _beside(
-            worker, "_half_step", (model, X1, scale, 0), (model, X2, scale, 1)
+            worker, "_half_step", (model, X1, scale), (model, X2, scale)
         )
     for name, g in grads.items():
         g += other[name]

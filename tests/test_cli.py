@@ -514,6 +514,19 @@ class TestDetect:
             "--out-dir", str(tmp_path / "det"),
         ) == 2
 
+    def test_negative_merge_gap_is_usage_error(self, pipeline, tmp_path, capsys) -> None:
+        """A negative merge gap would merge as 0 does; it is refused with
+        exit 2 and no events, while 0 is allowed."""
+        out = tmp_path / "det"
+        argv = ["detect", "--input", str(pipeline / "synth" / "trace.csv"),
+                "--sensor", "temp_core", "--checkpoint", str(pipeline / "train" / "model.bin"),
+                "--alpha", "0.5", "--out-dir", str(out), "--merge-gap"]
+        assert run(*argv, "-600") == 2
+        assert capsys.readouterr().err.startswith("error: usage: detect needs a --merge-gap")
+        assert not (out / "ae_events.csv").exists()
+        assert run(*argv, "0") == 0
+        assert (out / "ae_events.csv").exists()
+
 
 def rewrite_header(src, dst, mutate) -> None:
     """Copy a checkpoint, passing its JSON header through `mutate`."""
@@ -866,6 +879,23 @@ class TestCorr:
             "corr", "--input", str(pipeline / "synth" / "trace.csv"),
             "--out-dir", str(tmp_path / "c"),
         ) == 2
+
+    @pytest.mark.parametrize("days", [["--labels", "labels.csv", "--population", "anomalous-days"],
+                                      ["--days", "2030-01-01"]])
+    def test_days_without_readings_are_a_data_error(self, tmp_path, capsys, days) -> None:
+        """Days that hold no reading of the trace, here no anomalous day
+        among three normal ones, or a day after the trace ends, would give
+        a matrix of empty cells; they exit 3 and write no matrix."""
+        synth = tmp_path / "s"
+        assert run("synth", "--days", "3", "--sensors", "hobos-13", "--seed", "5",
+                   "--out-dir", str(synth)) == 0
+        assert "anomalous" not in (synth / "labels.csv").read_text()
+        capsys.readouterr()
+        days = [str(synth / d) if d.endswith(".csv") else d for d in days]
+        out = tmp_path / "c"
+        assert run("corr", "--input", str(synth / "trace.csv"), *days, "--out-dir", str(out)) == 3
+        assert "no reading" in one_data_error(capsys, "EmptyDataset")
+        assert not out.exists()
 
 
 class TestReport:
